@@ -15,14 +15,18 @@ empirical sampling risk — so the sampler is simply an ``argmin``.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.utils.validation import check_non_negative
 
 __all__ = [
     "conditional_sampling_risk",
+    "conditional_sampling_risk_float",
     "bayesian_sampling_scores",
     "optimal_sample_index",
+    "argmin_floats",
     "empirical_sampling_risk",
 ]
 
@@ -45,6 +49,15 @@ def conditional_sampling_risk(
     return info * (1.0 - (1.0 + weight) * unbias_values)
 
 
+def conditional_sampling_risk_float(
+    info: float, unbias_value: float, weight: float
+) -> float:
+    """Eq. 31 for one candidate as Python floats; bitwise equal to
+    :func:`conditional_sampling_risk`.  ``weight`` is not validated here:
+    the sampler checks λ whenever it changes."""
+    return info * (1.0 - (1.0 + weight) * unbias_value)
+
+
 def bayesian_sampling_scores(
     info: np.ndarray, unbias_values: np.ndarray, weight: float
 ) -> np.ndarray:
@@ -60,6 +73,23 @@ def optimal_sample_index(
     if risk.size == 0:
         raise ValueError("cannot select from an empty candidate set")
     return int(np.argmin(risk))
+
+
+def argmin_floats(risks: Sequence[float]) -> int:
+    """``np.argmin`` over Python floats (Eq. 32's rule on a risk list).
+
+    Same answer as numpy: the first minimum wins ties, and the first NaN,
+    if any, wins outright.
+    """
+    if not risks:
+        raise ValueError("cannot select from an empty candidate set")
+    best = 0
+    for index, risk in enumerate(risks):
+        if risk != risk:
+            return index
+        if risk < risks[best]:
+            best = index
+    return best
 
 
 def empirical_sampling_risk(per_positive_risks: np.ndarray) -> float:

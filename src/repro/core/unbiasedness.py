@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["unbias", "unbias_from_components"]
+__all__ = ["unbias", "unbias_float", "unbias_from_components"]
 
 
 def unbias(cdf_values: np.ndarray, prior_fn: np.ndarray) -> np.ndarray:
@@ -53,6 +53,18 @@ def unbias(cdf_values: np.ndarray, prior_fn: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denominator > 0.0, tn_mass / np.where(denominator > 0, denominator, 1.0), 0.5)
     return out
+
+
+def unbias_float(cdf_value: float, prior_fn: float) -> float:
+    """:func:`unbias` of one ``(F, P_fn)`` pair of Python floats, bitwise
+    equal to the array version (clips, NaN propagation and the 0/0 corner
+    included); the per-triple sampler's scalar twin."""
+    # np.clip's rule: NaN and -0.0 pass through unchanged.
+    cdf_value = 0.0 if cdf_value < 0.0 else 1.0 if cdf_value > 1.0 else cdf_value
+    prior_fn = 0.0 if prior_fn < 0.0 else 1.0 if prior_fn > 1.0 else prior_fn
+    tn_mass = (1.0 - cdf_value) * (1.0 - prior_fn)
+    denominator = tn_mass + cdf_value * prior_fn
+    return tn_mass / denominator if denominator > 0.0 else 0.5
 
 
 def unbias_from_components(

@@ -226,6 +226,31 @@ class ScoreModel(ABC):
         hands to the sampling-quality recorders (Eq. 34).
         """
 
+    def train_triple(
+        self,
+        user: int,
+        pos_item: int,
+        neg_item: int,
+        optimizer: Optimizer,
+        reg: float,
+    ) -> float:
+        """:meth:`train_step` on the single triple ``(user, pos_item,
+        neg_item)``; returns its ``info(j)`` as a float.
+
+        The per-triple entry point of ``batch_size=1`` training.  Overrides
+        must stay bitwise equal to this default and may skip its argument
+        checks: the trainer validates ids, ``reg`` and the backend once per
+        fit.
+        """
+        info = self.train_step(
+            np.array([user], dtype=np.int64),
+            np.array([pos_item], dtype=np.int64),
+            np.array([neg_item], dtype=np.int64),
+            optimizer,
+            reg,
+        )
+        return float(info[0])
+
     # ------------------------------------------------------------------ #
     # Introspection (used by evaluation and tests)
     # ------------------------------------------------------------------ #
@@ -251,4 +276,10 @@ class ScoreModel(ABC):
                 "users, pos_items and neg_items must be parallel arrays, got "
                 f"sizes {users.size}, {pos_items.size}, {neg_items.size}"
             )
+        # Negative ids would silently index rows from the end of a table.
+        if users.size and (users.min() < 0 or users.max() >= self.n_users):
+            raise IndexError(f"user ids out of range [0, {self.n_users})")
+        for items in (pos_items, neg_items):
+            if items.size and (items.min() < 0 or items.max() >= self.n_items):
+                raise IndexError(f"item ids out of range [0, {self.n_items})")
         return users, pos_items, neg_items

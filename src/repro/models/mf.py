@@ -18,10 +18,10 @@ import numpy as np
 
 from repro.models.base import ScoreModel
 from repro.models.init import normal_init
-from repro.train.loss import informativeness
+from repro.train.loss import informativeness, informativeness_float
 from repro.train.optimizer import Optimizer, aggregate_rows
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_non_negative, check_positive, is_or_wraps
 
 # Dense scoring kernels below go through ``self.backend`` (the R007
 # seam); ``train_step`` works on the host parameter mirrors directly.
@@ -167,6 +167,65 @@ class MatrixFactorization(ScoreModel):
         optimizer.update_rows("user_factors", self._user_factors, rows_u, agg_u)
         optimizer.update_rows("item_factors", self._item_factors, rows_hi, agg_hi)
         return info
+
+    #: The ``train_step`` that :meth:`train_triple` reproduces.
+    _per_triple_reference = train_step
+
+    def train_triple(
+        self,
+        user: int,
+        pos_item: int,
+        neg_item: int,
+        optimizer: Optimizer,
+        reg: float,
+    ) -> float:
+        """:meth:`train_step` for one triple, bitwise, without its overhead.
+
+        With one user and ``pos_item != neg_item`` every row is distinct, so
+        ``aggregate_rows`` is an identity and the rows are updated one by
+        one (both optimizers act row by row).  Its ``0 + grad`` only turns
+        a ``-0.0`` gradient into ``+0.0``, which changes no parameter or
+        moment that is not itself ``-0.0``, and neither optimizer can
+        produce one.  The dots stay ``einsum`` on ``(1, f)`` rows, as in
+        :meth:`train_step`; the sigmoid runs on floats
+        (:func:`~repro.train.loss.informativeness_float`).  ``pos_item ==
+        neg_item`` needs the row sum and takes :meth:`train_step`, as does
+        a subclass or patch that replaces :meth:`train_step` (a transparent
+        ``functools.wraps`` wrapper does not).  Ids are trusted (see
+        :meth:`ScoreModel.train_triple`).
+        """
+        cls = type(self)
+        if pos_item == neg_item or not is_or_wraps(
+            cls.train_step, cls._per_triple_reference
+        ):
+            return super().train_triple(user, pos_item, neg_item, optimizer, reg)
+        users, items = self._user_factors, self._item_factors
+        w_u = users[user : user + 1]
+        h_i = items[pos_item : pos_item + 1]
+        h_j = items[neg_item : neg_item + 1]
+        x_ui = np.einsum("bf,bf->b", w_u, h_i)  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
+        x_uj = np.einsum("bf,bf->b", w_u, h_j)  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
+        s = informativeness_float(float(x_ui[0]), float(x_uj[0]))
+
+        # train_step's gradients, rearranged only by exact identities
+        # (a·b = b·a, -x + y = y - x), in place where that saves a copy.
+        step = s * w_u
+        grad_u = h_i - h_j
+        grad_u *= -s
+        grad_u += reg * w_u
+        grad_i = reg * h_i
+        grad_i -= step
+        grad_j = reg * h_j
+        grad_j += step
+
+        optimizer.update_rows("user_factors", users, slice(user, user + 1), grad_u)
+        optimizer.update_rows(
+            "item_factors", items, slice(pos_item, pos_item + 1), grad_i
+        )
+        optimizer.update_rows(
+            "item_factors", items, slice(neg_item, neg_item + 1), grad_j
+        )
+        return s
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -192,7 +192,8 @@ class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
 
     Lifecycle: construct → :meth:`bind` (dataset + model + rng) →
     per epoch :meth:`on_epoch_start` → per mini-batch :meth:`sample_batch`
-    (or many per-user :meth:`sample_for_user` calls on the scalar path).
+    (or many per-user :meth:`sample_for_user` calls on the scalar path,
+    or one :meth:`sample_one` per triple for batches of one).
     """
 
     #: What score data the trainer must provide per batch (see
@@ -257,6 +258,22 @@ class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
         :attr:`score_request` is ``FULL_BLOCK``, else ``None`` (``SPARSE``
         samplers score the item ids they touch themselves).
         """
+
+    def sample_one(
+        self, user: int, pos_item: int, scores: Optional[np.ndarray]
+    ) -> int:
+        """One negative for one ``(user, pos_item)`` pair.
+
+        The per-triple entry point of ``batch_size=1`` training.  It must
+        return ``sample_for_user(user, [pos_item], scores)[0]`` and leave
+        the generator and estimator state where that call leaves them;
+        this default is that call, and overrides only cut its per-call
+        overhead.
+        """
+        negatives = self.sample_for_user(
+            user, np.array([pos_item], dtype=np.int64), scores
+        )
+        return int(negatives[0])
 
     def sample_batch(
         self,

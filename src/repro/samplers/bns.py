@@ -32,8 +32,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.risk import conditional_sampling_risk
-from repro.core.unbiasedness import unbias
+from repro.core.risk import (
+    argmin_floats,
+    conditional_sampling_risk,
+    conditional_sampling_risk_float,
+)
+from repro.core.unbiasedness import unbias, unbias_float
 from repro.samplers.base import (
     BatchGroups,
     NegativeSampler,
@@ -42,8 +46,9 @@ from repro.samplers.base import (
 )
 from repro.samplers.cdf import CDFLike, make_cdf
 from repro.samplers.priors import PopularityPrior, Prior
-from repro.train.loss import informativeness
+from repro.train.loss import informativeness, informativeness_float
 from repro.train.schedule import ConstantSchedule, Schedule
+from repro.utils.validation import check_non_negative, is_or_wraps
 
 __all__ = ["BayesianNegativeSampler", "PosteriorOnlySampler"]
 
@@ -198,10 +203,11 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         if isinstance(weight, Schedule):
             self.weight_schedule: Schedule = weight
         else:
-            if weight < 0:
-                raise ValueError(f"weight must be >= 0, got {weight}")
             self.weight_schedule = ConstantSchedule(float(weight))
-        self._current_weight = self.weight_schedule.value(0)
+        # λ is checked whenever it changes, not per sampled triple.
+        self._current_weight = check_non_negative(
+            self.weight_schedule.value(0), "weight"
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -209,7 +215,9 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         self._bind_members(self)
 
     def on_epoch_start(self, epoch: int) -> None:
-        self._current_weight = self.weight_schedule.value(epoch)
+        self._current_weight = check_non_negative(
+            self.weight_schedule.value(epoch), "weight"
+        )
         self.cdf.on_epoch_start(epoch)
 
     @property
@@ -239,6 +247,54 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
         best = np.argmin(risk, axis=1)
         return candidates[np.arange(pos_items.size), best]
+
+    #: The ``sample_for_user`` that :meth:`sample_one` reproduces.
+    _per_triple_reference = sample_for_user
+
+    def sample_one(
+        self, user: int, pos_item: int, scores: Optional[np.ndarray]
+    ) -> int:
+        """Algorithm 1 for one triple, bitwise equal to :meth:`sample_for_user`.
+
+        The draws, scores and CDF make the same numpy calls; Eq. 4/15/31–32
+        over the ``m`` candidates run on Python floats through the scalar
+        twins, which round exactly as the array versions do.  A subclass
+        or patch that replaces :meth:`sample_for_user` gets it called
+        instead, so ``sample_one`` keeps meaning one positive's draw; a
+        transparent wrapper of it (``functools.wraps``) does not.
+        """
+        cls = type(self)
+        if self.n_candidates is None or not is_or_wraps(
+            cls.sample_for_user, cls._per_triple_reference
+        ):
+            return super().sample_one(user, pos_item, scores)
+        self._require_scores(scores, "the user's score vector")
+        self.cdf.advance()
+        candidates = self.candidate_matrix(user, 1, self.n_candidates)
+        candidate_scores, cdf_values = self.cdf.cdf_for_user(
+            self, user, candidates, scores
+        )
+        prior_fn = self.prior.fn_prob(user, candidates)
+        if scores is not None:
+            pos_score = float(scores[pos_item])
+        else:
+            pair = self.model.score_pairs(
+                np.array([user], dtype=np.int64), np.array([pos_item], dtype=np.int64)
+            )
+            pos_score = float(pair[0])
+        weight = self._current_weight
+        (scores_row,), (cdf_row,), (prior_row,) = (
+            candidate_scores.tolist(),
+            cdf_values.tolist(),
+            prior_fn.tolist(),
+        )
+        risks = [
+            conditional_sampling_risk_float(
+                informativeness_float(pos_score, score), unbias_float(f, p), weight
+            )
+            for score, f, p in zip(scores_row, cdf_row, prior_row)
+        ]
+        return int(candidates[0, argmin_floats(risks)])
 
     def sample_batch(
         self,

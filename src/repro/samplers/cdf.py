@@ -239,10 +239,12 @@ class ExactCDF(CDFEstimator):
                 "ExactCDF requires the user's full score vector; use a "
                 "sparse estimator (subsampled/cached) to train without one"
             )
-        negative_scores = np.sort(scores[sampler.dataset.train.negative_items(user)])
+        # The gather is a fresh array: sort it in place (np.sort would copy).
+        negative_scores = scores[sampler.dataset.train.negative_items(user)]
+        negative_scores.sort()
         candidate_scores = scores[candidates]
         cdf_values = (
-            np.searchsorted(negative_scores, candidate_scores, side="right")
+            negative_scores.searchsorted(candidate_scores, side="right")
             / negative_scores.size
         )
         return candidate_scores, cdf_values

@@ -100,6 +100,11 @@ class WarmStartSampler(NegativeSampler):
     ) -> np.ndarray:
         return self._active.sample_for_user(user, pos_items, scores)
 
+    def sample_one(
+        self, user: int, pos_item: int, scores: Optional[np.ndarray]
+    ) -> int:
+        return self._active.sample_one(user, pos_item, scores)
+
     def sample_batch(
         self,
         users: np.ndarray,

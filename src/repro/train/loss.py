@@ -19,7 +19,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["sigmoid", "log_sigmoid", "bpr_loss", "informativeness"]
+__all__ = [
+    "sigmoid",
+    "log_sigmoid",
+    "bpr_loss",
+    "informativeness",
+    "informativeness_float",
+]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -69,3 +75,21 @@ def informativeness(pos_scores: np.ndarray, neg_scores: np.ndarray) -> np.ndarra
     pos_scores = np.asarray(pos_scores, dtype=np.float64)
     neg_scores = np.asarray(neg_scores, dtype=np.float64)
     return 1.0 - sigmoid(pos_scores - neg_scores)
+
+
+def informativeness_float(pos_score: float, neg_score: float) -> float:
+    """:func:`informativeness` of one pair of Python floats, bitwise equal
+    to the array version.
+
+    The per-triple training path uses these scalar twins: on a handful of
+    values the array version's masking costs more than its arithmetic.
+    ``exp`` stays a numpy call (``math.exp`` rounds differently from
+    numpy's SIMD ``exp`` on a few percent of inputs) on exactly the value
+    :func:`sigmoid` exponentiates on that branch; the rest is IEEE-exact
+    float arithmetic, the same in Python as in numpy.
+    """
+    x = pos_score - neg_score
+    if x >= 0:
+        return 1.0 - 1.0 / (1.0 + float(np.exp(-x)))
+    e = float(np.exp(x))
+    return 1.0 - e / (1.0 + e)

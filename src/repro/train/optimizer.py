@@ -61,7 +61,11 @@ class Optimizer(ABC):
     def update_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        """Apply a descent step to ``param[rows]`` (rows must be unique)."""
+        """Apply a descent step to ``param[rows]``.
+
+        ``rows`` is an array of unique row ids or a ``slice``; every row is
+        stepped independently of the others.
+        """
 
     @abstractmethod
     def update_dense(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:

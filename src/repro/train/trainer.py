@@ -10,6 +10,18 @@ negative per positive, and takes a BPR step.  ``batch_size=1`` reproduces
 the paper's per-triple SGD for MF; larger batches vectorize the same
 computation (the paper uses 128/1024 for LightGCN).
 
+Batches of one row — every batch at ``batch_size=1``, and an epoch's
+ragged final batch of one — take the per-triple kernel instead: one loop
+over the rows as Python ints that calls the user's ``scores`` (for
+``FULL_BLOCK`` samplers),
+:meth:`~repro.samplers.base.NegativeSampler.sample_one` and
+:meth:`~repro.models.base.ScoreModel.train_triple` per triple, with ids
+and the backend checked once per fit instead of per step.  Both entry
+points are bitwise equal to ``sample_for_user``/``train_step`` on one row,
+so the kernel changes speed, not results.  BNS and MF override them: the
+gemv, sort, dots and ``exp`` stay numpy calls, and the IEEE-exact
+arithmetic of Eq. 4/15/31–32 runs on Python floats.
+
 ``TrainingConfig(batched_sampling=False)`` keeps the legacy scalar path —
 group by user, per-user ``scores`` + ``sample_for_user`` — for A/B checks
 and benchmarks.  The two paths draw identical randomness (the samplers'
@@ -40,6 +52,9 @@ __all__ = ["TrainingConfig", "Trainer"]
 
 _LOGGER = get_logger("train.trainer")
 
+#: Triples listed as Python ints at a time by the per-triple kernel.
+_TRIPLE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -61,13 +76,14 @@ class TrainingConfig:
     #: per-user scalar path.
     batched_sampling: bool = True
     #: Smallest mini-batch routed through the batched pipeline; smaller
-    #: batches (including every batch of the paper's ``batch_size=1`` SGD,
-    #: and an epoch's final ragged batch) take the scalar path, whose
-    #: per-call overhead is lower.  The default of 2 reproduces the
-    #: pre-threshold routing exactly (scalar only for single-row batches),
-    #: keeping default-config runs bitwise-identical across the refactor
-    #: — rerouting a batch flips its scores from gemm to gemv, a last-ulp
-    #: change that can flip a risk argmin.  The measured BNS crossover is
+    #: batches take the scalar path, whose per-call overhead is lower, and
+    #: batches of one row (every batch of the paper's ``batch_size=1``
+    #: SGD, or an epoch's ragged final batch) the per-triple kernel.  The
+    #: default of 2 reproduces the pre-threshold routing exactly (only
+    #: single-row batches leave the batched path), keeping default-config
+    #: runs bitwise-identical across the refactor — rerouting a batch
+    #: flips its scores from gemm to gemv, a last-ulp change that can
+    #: flip a risk argmin.  The measured BNS crossover is
     #: ≈3 (batched/scalar ≈ 0.85× at B=2, 1.2× at B=3, 1.5× at B=4 — see
     #: ``BENCH_samplers.json``), so set 3–4 when ragged small batches
     #: dominate and bitwise continuity does not matter; SRNS/AOBPR
@@ -132,6 +148,12 @@ class Trainer:
         users_all, pos_all = self.dataset.train.pairs()
         if users_all.size == 0:
             raise ValueError("cannot train on an empty training set")
+        if self._n_single_rows(users_all.size):
+            # The per-triple kernel skips train_step's per-call checks: the
+            # ids and the backend are checked here, once (reg is checked by
+            # TrainingConfig).
+            self.model._check_triple_arrays(users_all, pos_all, pos_all)
+            self.model._check_trainable_backend()
         lr_schedule = self.config.resolve_lr_schedule()
 
         for callback in self.callbacks:
@@ -180,7 +202,8 @@ class Trainer:
         neg_out = np.empty(n, dtype=np.int64)
         info_out = np.empty(n, dtype=np.float64)
 
-        for start in range(0, n, batch_size):
+        batched_rows = n - self._n_single_rows(n)
+        for start in range(0, batched_rows, batch_size):
             batch_idx = order[start : start + batch_size]
             batch_users = users_all[batch_idx]
             batch_pos = pos_all[batch_idx]
@@ -190,6 +213,11 @@ class Trainer:
             )
             neg_out[start : start + batch_idx.size] = batch_neg
             info_out[start : start + batch_idx.size] = info
+        if batched_rows < n:
+            tail = order[batched_rows:]
+            self._train_triples(
+                users_all[tail], pos_all[tail], neg_out, info_out, batched_rows
+            )
 
         # loss = −ln σ(diff) = −ln(1 − info); clip keeps info→1 finite.
         # One vectorized pass over the epoch's recorded info values instead
@@ -209,6 +237,57 @@ class Trainer:
             duration_seconds=time.perf_counter() - started,
         )
 
+    def _n_single_rows(self, n: int) -> int:
+        """How many of an epoch's ``n`` rows the per-triple kernel trains.
+
+        Batches of one row below ``batched_sampling_min_batch`` (or with
+        batched sampling off) take it: every row at ``batch_size=1``, else
+        only a final ragged batch of one.
+        """
+        config = self.config
+        if config.batched_sampling and config.batched_sampling_min_batch <= 1:
+            return 0
+        if config.batch_size == 1:
+            return n
+        return int(n % config.batch_size == 1)
+
+    def _train_triples(
+        self,
+        users: np.ndarray,
+        pos_items: np.ndarray,
+        neg_out: np.ndarray,
+        info_out: np.ndarray,
+        offset: int,
+    ) -> None:
+        """The per-triple kernel: ``sample_one`` + ``train_triple`` per row.
+
+        Fills ``neg_out``/``info_out`` from ``offset`` on.  A
+        ``FULL_BLOCK`` sampler gets the user's ``scores`` row (a gemv) per
+        triple, as on the scalar path.  Ids are turned into Python ints a
+        chunk at a time, so the lists stay small next to the epoch arrays.
+        """
+        model, optimizer, reg = self.model, self.optimizer, self.config.reg
+        scores = None
+        if self.sampler.score_request is ScoreRequest.FULL_BLOCK:
+            scores = model.scores
+        sample_one = self.sampler.sample_one
+        train_triple = model.train_triple
+        n_items = model.n_items
+        for start in range(0, users.size, _TRIPLE_CHUNK):
+            stop = start + _TRIPLE_CHUNK
+            for t, user, pos in zip(
+                range(offset + start, offset + stop),
+                users[start:stop].tolist(),
+                pos_items[start:stop].tolist(),
+            ):
+                neg = sample_one(user, pos, None if scores is None else scores(user))
+                if not 0 <= neg < n_items:
+                    raise IndexError(
+                        f"sampler returned item {neg} outside [0, {n_items})"
+                    )
+                info_out[t] = train_triple(user, pos, neg, optimizer, reg)
+                neg_out[t] = neg
+
     def _sample_negatives(
         self, batch_users: np.ndarray, batch_pos: np.ndarray
     ) -> np.ndarray:
@@ -223,11 +302,11 @@ class Trainer:
         precomputed :class:`~repro.samplers.base.BatchGroups` instead of
         re-deriving the grouping (and grouping is deterministic, so the
         negatives are unchanged).  Batches smaller than
-        ``config.batched_sampling_min_batch`` (notably the paper's
-        ``batch_size=1`` SGD for MF and an epoch's ragged final batch)
-        skip the batch machinery — below the measured crossover, grouping
-        costs more than it saves, and the draw cores are shared so the
-        negatives are statistically the same.
+        ``config.batched_sampling_min_batch`` skip the batch machinery —
+        below the measured crossover, grouping costs more than it saves,
+        and the draw cores are shared so the negatives are statistically
+        the same.  Batches of one never get here (see
+        :meth:`_train_triples`).
         """
         if (
             not self.config.batched_sampling
@@ -248,11 +327,6 @@ class Trainer:
         """Legacy per-user path: group by user, score and sample per group."""
         full_block = self.sampler.score_request is ScoreRequest.FULL_BLOCK
         negatives = np.empty(batch_users.size, dtype=np.int64)
-        if batch_users.size == 1:
-            user = int(batch_users[0])
-            scores = self.model.scores(user) if full_block else None
-            negatives[0] = self.sampler.sample_for_user(user, batch_pos, scores)[0]
-            return negatives
         unique_users = np.unique(batch_users)
         for user in unique_users:
             mask = batch_users == user

@@ -14,6 +14,7 @@ from typing import Any, Tuple, Type, Union
 import numpy as np
 
 __all__ = [
+    "is_or_wraps",
     "check_type",
     "check_positive",
     "check_non_negative",
@@ -86,3 +87,17 @@ def check_in_range(
     if not ok:
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
     return out
+
+
+def is_or_wraps(current: Any, reference: Any) -> bool:
+    """Whether ``current`` is ``reference`` or a chain of wrappers that
+    declare it through ``__wrapped__`` (as ``functools.wraps`` does).
+
+    Fast paths that stand in for a method use this to tell a transparent
+    decorator (timing, tracing) from a replacement they must defer to.
+    """
+    while current is not reference:
+        current = getattr(current, "__wrapped__", None)
+        if current is None:
+            return False
+    return True

@@ -32,6 +32,7 @@ from repro.experiments.runner import run_spec
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
+from repro.train.callbacks import Callback
 from repro.utils.rng import make_rng
 
 GOLDEN_PATH = Path(__file__).parent / "golden_numpy_f64.json"
@@ -163,22 +164,16 @@ class TestRunGoldens:
         )
 
 
-class _NegativeRecorder:
+class _NegativeRecorder(Callback):
     """Keeps every epoch's sampled negatives and per-triple info."""
 
     def __init__(self):
         self.neg_items = []
         self.info = []
 
-    def on_train_start(self, trainer):
-        pass
-
     def on_epoch_end(self, stats, model):
         self.neg_items.append(stats.neg_items.copy())
         self.info.append(stats.info.copy())
-
-    def on_train_end(self, trainer):
-        pass
 
 
 def per_triple_run_digest(sampler):

@@ -89,3 +89,42 @@ class TestScoreMatrixChunking:
         model = MatrixFactorization(4, 6, n_factors=3, seed=0)
         with pytest.raises(ValueError, match="chunk_size"):
             model.score_matrix(chunk_size=0)
+
+
+class TestTrainStepIdRanges:
+    """train_step rejects ids outside the tables instead of letting numpy
+    wrap a negative id onto the last rows."""
+
+    @pytest.mark.parametrize(
+        "users, pos, neg, match",
+        [
+            ([-1], [0], [1], "user ids"),
+            ([4], [0], [1], "user ids"),
+            ([0], [-1], [1], "item ids"),
+            ([0], [0], [-2], "item ids"),
+            ([0, 1], [0, 6], [1, 2], "item ids"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["mf", "biased_mf", "lightgcn"])
+    def test_out_of_range_ids_raise_and_train_nothing(
+        self, name, users, pos, neg, match
+    ):
+        from repro.data.interactions import InteractionMatrix
+        from repro.models.biased_mf import BiasedMatrixFactorization
+        from repro.models.lightgcn import LightGCN
+        from repro.train.optimizer import SGD
+
+        model = {
+            "mf": lambda: MatrixFactorization(4, 6, n_factors=3, seed=0),
+            "biased_mf": lambda: BiasedMatrixFactorization(4, 6, n_factors=3, seed=0),
+            "lightgcn": lambda: LightGCN(
+                InteractionMatrix(4, 6, np.array([0, 1, 2]), np.array([0, 3, 5])),
+                n_factors=3,
+                seed=0,
+            ),
+        }[name]()
+        before = (model.user_factors.copy(), model.item_factors.copy())
+        with pytest.raises(IndexError, match=match):
+            model.train_step(users, pos, neg, SGD(0.1), 0.0)
+        assert np.array_equal(model.user_factors, before[0])
+        assert np.array_equal(model.item_factors, before[1])

@@ -283,6 +283,82 @@ class TestScalarFallbackThreshold:
                 assert not micro_dataset.train.contains(int(user), int(item))
 
 
+class TestPerTripleKernel:
+    """Batches of one row run ``sample_one`` + ``train_triple``."""
+
+    @staticmethod
+    def _forbid(monkeypatch, obj, *names):
+        for name in names:
+
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called on the per-triple path")
+
+            monkeypatch.setattr(obj, name, forbidden)
+
+    def test_batch_size_one_bypasses_batch_entry_points(
+        self, micro_dataset, monkeypatch
+    ):
+        from repro.samplers.variants import make_sampler
+
+        trainer = make_trainer(
+            micro_dataset, epochs=2, batch_size=1, sampler=make_sampler("bns")
+        )
+        self._forbid(monkeypatch, trainer.sampler, "sample_for_user", "sample_batch")
+        self._forbid(monkeypatch, trainer.model, "train_step", "scores_batch")
+        for stats in trainer.fit():
+            assert stats.n_triples == micro_dataset.train.n_interactions
+            for user, item in zip(stats.users, stats.neg_items):
+                assert not micro_dataset.train.contains(int(user), int(item))
+
+    def test_ragged_batch_of_one_takes_sample_one(self, micro_dataset, monkeypatch):
+        # micro: 9 pairs at batch 4 → batches of 4, 4 and a final 1.
+        trainer = make_trainer(
+            micro_dataset,
+            epochs=2,
+            batch_size=4,
+            sampler=DynamicNegativeSampler(n_candidates=3),
+        )
+        calls = []
+        original = trainer.sampler.sample_one
+
+        def spy(user, pos_item, scores):
+            calls.append((user, pos_item))
+            return original(user, pos_item, scores)
+
+        monkeypatch.setattr(trainer.sampler, "sample_one", spy)
+        history = trainer.fit()
+        assert calls == [
+            (int(s.users[-1]), int(s.pos_items[-1])) for s in history
+        ]
+
+    def test_threshold_one_keeps_batches_of_one_batched(
+        self, micro_dataset, monkeypatch
+    ):
+        trainer = make_trainer(
+            micro_dataset, epochs=1, batch_size=1, batched_sampling_min_batch=1
+        )
+        self._forbid(monkeypatch, trainer.sampler, "sample_one")
+        self._forbid(monkeypatch, trainer.model, "train_triple")
+        trainer.fit()
+
+    def test_ids_checked_once_before_training(self, micro_dataset):
+        """A model smaller than the dataset fails before any update."""
+        model = MatrixFactorization(2, micro_dataset.n_items, n_factors=4, seed=0)
+        before = model.user_factors.copy()
+        trainer = Trainer(
+            model, micro_dataset, RandomNegativeSampler(), TrainingConfig(epochs=1)
+        )
+        with pytest.raises(IndexError, match="user ids"):
+            trainer.fit()
+        assert np.array_equal(model.user_factors, before)
+
+    def test_out_of_range_negative_rejected(self, micro_dataset, monkeypatch):
+        trainer = make_trainer(micro_dataset, epochs=1, batch_size=1)
+        monkeypatch.setattr(trainer.sampler, "sample_one", lambda u, i, s: -2)
+        with pytest.raises(IndexError, match="outside"):
+            trainer.fit()
+
+
 class TestEpochLossAccumulation:
     def test_mean_loss_matches_per_batch_reference(self, micro_dataset):
         """The hoisted one-pass mean equals the old per-batch log-sum."""
