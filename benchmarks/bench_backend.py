@@ -134,7 +134,7 @@ def _train_throughputs(dataset, modes, repeats=7):
 
 
 def _eval_users_per_second(dataset, backend, dtype):
-    """Batched Table-II protocol throughput under a backend/dtype policy."""
+    """Table-II protocol throughput under a backend/dtype policy."""
     spec = RunSpec(
         dataset="bench-backend",
         model="mf",
@@ -144,7 +144,7 @@ def _eval_users_per_second(dataset, backend, dtype):
         dtype=dtype,
     )
     model, _, _ = build_model(spec, dataset)
-    evaluator = Evaluator(dataset, ks=KS, batched=True)
+    evaluator = Evaluator(dataset, ks=KS)
     n_users = evaluator.evaluated_users().size
     seconds = _best_seconds(lambda: evaluator.evaluate(model), repeats=5)
     return n_users / seconds

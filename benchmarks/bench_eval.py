@@ -2,12 +2,13 @@
 
 Times the full Table-II protocol — score every evaluable user, mask train
 positives, extract top-``max(ks)``, compute Precision/Recall/NDCG at every
-cutoff — on both :class:`~repro.eval.protocol.Evaluator` paths:
+cutoff — two ways:
 
-* ``batched=False`` — the per-user reference loop (per-user ``scores``,
-  per-user top-K, scalar metric functions);
-* ``batched=True`` — the chunked pipeline (one ``scores_batch`` block, one
-  batched top-K, one CSR hit matrix and cumulative-sum kernels per chunk).
+* scalar — the per-user oracle in ``tests/eval_oracle.py`` (per-user
+  ``scores``, per-user top-K, scalar metric functions);
+* batched — :class:`~repro.eval.protocol.Evaluator`, the chunked pipeline
+  (one ``scores_batch`` block, one batched top-K, one CSR hit matrix and
+  cumulative-sum kernels per chunk).
 
 Results land in ``BENCH_eval.json`` at the repo root so the perf
 trajectory is tracked across PRs.  The acceptance bar for the eval
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eval_oracle import per_user_reference
 from repro.data.registry import dataset_from_log, load_dataset
 from repro.data.synthetic import PRESETS, LatentFactorGenerator
 from repro.eval.protocol import Evaluator
@@ -65,8 +67,8 @@ def _best_seconds(fn, repeats):
 def test_batched_vs_scalar_eval_speedup():
     """Record the scalar-vs-batched evaluation comparison and gate it.
 
-    The acceptance bar for the vectorized protocol: ``batched=True`` must
-    process >= 5x the users/sec of the per-user reference loop at >= 1000
+    The acceptance bar for the vectorized protocol: the ``Evaluator`` must
+    process >= 5x the users/sec of the per-user oracle at >= 1000
     evaluated users.  Results land in ``BENCH_eval.json``.
     """
     dataset_name = os.environ.get("REPRO_EVAL_BENCH_DATASET", DEFAULT_DATASET)
@@ -74,13 +76,12 @@ def test_batched_vs_scalar_eval_speedup():
     model = MatrixFactorization(
         dataset.n_users, dataset.n_items, n_factors=32, seed=0
     )
-    scalar_eval = Evaluator(dataset, ks=KS, batched=False)
-    batched_eval = Evaluator(dataset, ks=KS, batched=True)
-    n_users = scalar_eval.evaluated_users().size
+    batched_eval = Evaluator(dataset, ks=KS)
+    n_users = batched_eval.evaluated_users().size
 
     scalar_repeats = 3 if n_users >= 500 else 10
     scalar_seconds = _best_seconds(
-        lambda: scalar_eval.evaluate_per_user(model), scalar_repeats
+        lambda: per_user_reference(batched_eval, model), scalar_repeats
     )
     batched_seconds = _best_seconds(
         lambda: batched_eval.evaluate_per_user(model), 10
@@ -91,10 +92,10 @@ def test_batched_vs_scalar_eval_speedup():
     # bitwise — MF's scores_batch gemm rounds differently from the
     # per-user gemv; exact parity on a shared score source is pinned by
     # tests/property/test_property_eval_batch.py.)
-    scalar_metrics = scalar_eval.evaluate(model)
+    scalar_metrics = per_user_reference(batched_eval, model)
     batched_metrics = batched_eval.evaluate(model)
-    for key, value in scalar_metrics.items():
-        assert np.isclose(batched_metrics[key], value, atol=1e-9), key
+    for key, values in scalar_metrics.items():
+        assert np.isclose(batched_metrics[key], values.mean(), atol=1e-9), key
 
     payload = {
         "dataset": dataset.name,

@@ -8,11 +8,12 @@ Two suites:
   claim for BNS (linear in the candidate-set size on top of one
   score-vector pass);
 * the batched-pipeline comparison: for every registered sampler and batch
-  sizes {1, 128, 1024}, time the legacy per-user loop (group by user,
-  per-user ``scores`` + ``sample_for_user``) against the vectorized path
-  (one ``scores_batch`` + one ``sample_batch``) on mixed-user batches, and
-  record triples/sec for both in ``BENCH_samplers.json`` at the repo root
-  so the perf trajectory is tracked across PRs.
+  sizes {1, 128, 1024}, time the per-user loop (group by user, per-user
+  ``scores`` + ``sample_for_user``) against the trainer's dispatch (one
+  ``scores_batch`` + one ``sample_batch``; ``sample_one`` for a batch of
+  one) on mixed-user batches, and record triples/sec for both in
+  ``BENCH_samplers.json`` at the repo root so the perf trajectory is
+  tracked across PRs.
 """
 
 import json
@@ -28,7 +29,6 @@ from repro.models.mf import MatrixFactorization
 from repro.samplers.base import ScoreRequest
 from repro.samplers.variants import make_sampler
 from repro.utils.rng import as_rng
-from repro.train.trainer import TrainingConfig
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_samplers.json"
 
@@ -58,7 +58,9 @@ def test_sampler_throughput(benchmark, setup, name):
     sampler = make_sampler(name)
     sampler.bind(dataset, model, seed=0)
     sampler.on_epoch_start(0)
-    passed_scores = scores if sampler.needs_scores else None
+    passed_scores = None
+    if sampler.score_request is not ScoreRequest.NONE:
+        passed_scores = scores
     out = benchmark(sampler.sample_for_user, user, pos_items, passed_scores)
     assert out.shape == pos_items.shape
 
@@ -100,15 +102,14 @@ def _best_seconds(fn, repeats):
     return float(min(times))
 
 
-def _measure(name, dataset, model, users, pos, repeats, min_batch):
-    """Triples/sec of the per-user loop vs the trainer's batched dispatch.
+def _measure(name, dataset, model, users, pos, repeats):
+    """Triples/sec of the per-user loop vs the trainer's dispatch.
 
-    The "batched" column measures the production policy, not a forced
-    ``sample_batch`` call: batches below the trainer's scalar-fallback
-    threshold (``TrainingConfig.batched_sampling_min_batch``) route
-    through the per-user path exactly as ``Trainer._sample_negatives``
-    would, which is what fixed the historical B=1 regression (0.25–0.5x)
-    this file used to record.
+    The "batched" column measures what ``Trainer`` runs, not a forced
+    ``sample_batch`` call: a batch of one goes to the per-triple
+    ``sample_one`` (with the user's ``scores`` gemv for ``FULL_BLOCK``
+    samplers), every larger batch to one ``scores_batch`` + one
+    ``sample_batch``.
     """
     scalar_sampler = make_sampler(name)
     scalar_sampler.bind(dataset, model, seed=0)
@@ -130,13 +131,12 @@ def _measure(name, dataset, model, users, pos, repeats, min_batch):
         return per_user_loop_with(scalar_sampler)
 
     def batched():
-        if users.size < min_batch:
-            return per_user_loop_with(batched_sampler)
-        scores = (
-            model.scores_batch(np.unique(users))
-            if batched_sampler.score_request is ScoreRequest.FULL_BLOCK
-            else None
-        )
+        full_block = batched_sampler.score_request is ScoreRequest.FULL_BLOCK
+        if users.size == 1:
+            user, pos_item = int(users[0]), int(pos[0])
+            scores = model.scores(user) if full_block else None
+            return batched_sampler.sample_one(user, pos_item, scores)
+        scores = model.scores_batch(np.unique(users)) if full_block else None
         return batched_sampler.sample_batch(users, pos, scores)
 
     scalar_seconds = _best_seconds(per_user_loop, repeats)
@@ -160,14 +160,13 @@ def test_batched_vs_scalar_speedup():
         dataset.n_users, dataset.n_items, n_factors=32, seed=0
     )
     batch_rng = as_rng(7)
-    min_batch = TrainingConfig().batched_sampling_min_batch
     results = {name: {} for name in COMPARED_SAMPLERS}
     for size in BATCH_SIZES:
         users, pos = _mixed_batch(dataset, batch_rng, size)
         repeats = 30 if size <= 128 else 20
         for name in COMPARED_SAMPLERS:
             results[name][str(size)] = _measure(
-                name, dataset, model, users, pos, repeats, min_batch
+                name, dataset, model, users, pos, repeats
             )
 
     # Upper bound for uniform sampling: the fully vectorized multi-user
@@ -185,7 +184,6 @@ def test_batched_vs_scalar_speedup():
         "n_users": dataset.n_users,
         "n_items": dataset.n_items,
         "batch_sizes": BATCH_SIZES,
-        "batched_sampling_min_batch": min_batch,
         "samplers": results,
         "rns_nonparity_triples_per_s_1024": round(1024 / nonparity_seconds, 1),
         "bns_1024_speedup": bns_speedup,

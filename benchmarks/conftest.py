@@ -2,8 +2,8 @@
 
 Each ``bench_*``/``test_*`` module regenerates one of the paper's tables or
 figures at the ``bench`` scale (scaled-down calibrated synthetic datasets;
-see DESIGN.md §1) and writes the formatted artifact to
-``benchmarks/output/<name>.txt`` so EXPERIMENTS.md can quote it.
+see :mod:`repro.data.synthetic`) and writes the formatted artifact to
+``benchmarks/output/<name>.txt``.
 
 Set ``REPRO_BENCH_SCALE=paper`` to run the full-scale configuration (much
 slower; matches the paper's universe sizes and epoch counts).
@@ -12,11 +12,16 @@ slower; matches the paper's universe sizes and epoch counts).
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+
+# Benches that time a path against its tests-side oracle (``bench_eval``
+# against ``tests/eval_oracle.py``) import it the way the test suite does.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def bench_scale() -> str:

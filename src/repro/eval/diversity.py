@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.data.dataset import ImplicitDataset
 from repro.eval.topk import top_k_items
+from repro.utils.validation import check_positive
 
 __all__ = [
     "catalog_coverage",
@@ -35,6 +36,7 @@ def _top_k_lists(
 ) -> np.ndarray:
     users = dataset.trainable_users()
     if max_users is not None:
+        check_positive(max_users, "max_users")
         users = users[:max_users]
     lists = []
     for user in users.tolist():

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.dataset import ImplicitDataset
 from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _iter_ranked_chunks
+from repro.utils.validation import check_positive
 
 __all__ = ["popularity_buckets", "stratified_recall"]
 
@@ -74,6 +75,7 @@ def stratified_recall(
     totals = np.zeros(n_buckets, dtype=np.int64)
     users = dataset.evaluable_users()
     if max_users is not None:
+        check_positive(max_users, "max_users")
         users = users[:max_users]
     for chunk, _, _, _, ranked, hit_matrix in _iter_ranked_chunks(
         model, dataset, users, k, chunk_users

@@ -16,9 +16,10 @@ runs across artifacts, resume interrupted grids, and parallelize — see
 ``repro.experiments.engine`` and :func:`run_all`.
 
 Absolute numbers differ from the paper (the substrate is a calibrated
-synthetic dataset — see DESIGN.md §1); the *shape* of each result is what
-is validated, and ``repro.experiments.reporting`` provides the comparison
-helpers EXPERIMENTS.md is generated from.
+synthetic dataset — see :mod:`repro.data.synthetic`); the *shape* of each
+result is what is validated, and ``repro.experiments.reporting`` provides
+the comparison helpers (:func:`~repro.experiments.reporting.shape_report`)
+the table artifacts check it with.
 """
 
 from repro.experiments.config import RunSpec, Scale, scale_preset

@@ -224,8 +224,6 @@ def execute_request(
         distribution_epochs=request.distribution_epochs,
         extra_callbacks=extra_callbacks,
         evaluate=request.evaluate,
-        eval_batched=request.eval_batched,
-        eval_chunk_users=request.eval_chunk_users,
     )
     checkpoint = None
     if checkpointer is not None and checkpointer.n_saves > 0:

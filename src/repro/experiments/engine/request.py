@@ -54,7 +54,6 @@ KEYED_SPEC_FIELDS: Tuple[str, ...] = (
     "seed",
     "ks",
     "cdf",
-    "batched_sampling_min_batch",
     "backend",
     "dtype",
 )
@@ -64,8 +63,6 @@ KEYED_REQUEST_FIELDS: Tuple[str, ...] = (
     "record_sampling_quality",
     "distribution_epochs",
     "evaluate",
-    "eval_batched",
-    "eval_chunk_users",
 )
 
 
@@ -84,10 +81,6 @@ class EngineRequest:
     distribution_epochs: Tuple[int, ...] = ()
     #: Run the final ranking evaluation (off for training-only artifacts).
     evaluate: bool = True
-    #: Evaluator path/chunking — part of the key because gemm-vs-gemv
-    #: score rounding makes the two paths last-ulp different.
-    eval_batched: bool = True
-    eval_chunk_users: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -168,8 +161,6 @@ def canonical_payload(request: EngineRequest) -> dict:
         "record_sampling_quality": bool(request.record_sampling_quality),
         "distribution_epochs": list(request.distribution_epochs),
         "evaluate": bool(request.evaluate),
-        "eval_batched": bool(request.eval_batched),
-        "eval_chunk_users": request.eval_chunk_users,
     }
 
 

@@ -9,7 +9,8 @@ users (``FULL_BLOCK``), or nothing at all (``NONE``, and ``SPARSE``
 samplers gather-score only the item ids they touch) — and returns one
 negative per row in a handful of vectorized passes.  The per-user
 :meth:`~repro.samplers.base.NegativeSampler.sample_for_user` remains as
-the scalar path; both consume randomness identically (the RNG-parity
+the per-user reference (and the default behind the per-triple
+``sample_one``); both consume randomness identically (the RNG-parity
 contract in ``samplers.base``), so they produce bit-identical negatives
 for a bound seed.  BNS's Eq. 16 empirical CDF is pluggable
 (:mod:`repro.samplers.cdf`): exact, DKW-bounded subsampled, or

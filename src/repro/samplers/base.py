@@ -15,23 +15,25 @@ from Python into a handful of whole-batch NumPy calls.
 
 Randomness contract (RNG parity)
 --------------------------------
-``sample_batch`` and the scalar path (grouping the batch by sorted unique
-user and calling :meth:`NegativeSampler.sample_for_user` per group) must
-produce **bit-identical negatives for a bound seed** when given the same
-score values.  Every built-in batched implementation therefore consumes the
-bound generator in sorted-unique-user order, drawing for each user exactly
-what the scalar path would draw for that user's rows (the draw core lives
-in :meth:`repro.data.interactions.InteractionMatrix.uniform_negatives`);
-only the deterministic math — candidate scoring, empirical CDFs, priors,
-risk — is vectorized across the whole batch.  A property test pins this
+``sample_batch`` and the per-user reference (grouping the batch by sorted
+unique user and calling :meth:`NegativeSampler.sample_for_user` per group)
+must produce **bit-identical negatives for a bound seed** when given the
+same score values.  Every built-in batched implementation therefore
+consumes the bound generator in sorted-unique-user order, drawing for each
+user exactly what the per-user reference would draw for that user's rows
+(the draw core lives in
+:meth:`repro.data.interactions.InteractionMatrix.uniform_negatives`); only
+the deterministic math — candidate scoring, empirical CDFs, priors, risk —
+is vectorized across the whole batch.  A property test pins this
 equivalence for every registered sampler
 (``tests/property/test_property_sampler_batch.py``).
 
 The one documented divergence sits a layer above: score *values* from
 ``ScoreModel.scores_batch`` can differ from per-user ``scores`` in the last
-ulp (BLAS gemm vs gemv rounding), so trainer-level runs that switch
-``TrainingConfig.batched_sampling`` are statistically, not bitwise,
-equivalent.  At the sampler layer, same scores in → same negatives out.
+ulp (BLAS gemm vs gemv rounding), so a row trained in a batch of one (the
+trainer's per-triple kernel, which scores with ``scores``) and the same row
+inside a larger batch are statistically, not bitwise, equivalent.  At the
+sampler layer, same scores in → same negatives out.
 
 Score-block convention
 ----------------------
@@ -44,7 +46,7 @@ rows for repeated users.
 
 from __future__ import annotations
 
-from abc import ABC, ABCMeta, abstractmethod
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterator, Optional, Tuple
@@ -90,54 +92,6 @@ class ScoreRequest(Enum):
     NONE = "none"
     FULL_BLOCK = "full_block"
     SPARSE = "sparse"
-
-
-def _derive_needs_scores(request) -> bool:
-    """The one place the legacy boolean is derived from a score request.
-
-    Non-:class:`ScoreRequest` values (a delegating property seen at class
-    level) answer conservatively ``True``.
-    """
-    if not isinstance(request, ScoreRequest):
-        return True
-    return request is not ScoreRequest.NONE
-
-
-class _NegativeSamplerMeta(ABCMeta):
-    """Metaclass exposing ``needs_scores`` as a *class-level* derived view.
-
-    ``needs_scores`` predates :class:`ScoreRequest` and is kept as the
-    boolean shorthand "does this sampler consume model scores at all";
-    tests and third-party code read it off the class, so it must stay
-    resolvable without an instance.  Samplers whose request is decided per
-    instance (delegation, estimator-dependent modes) expose a property for
-    ``score_request``; class-level access then answers conservatively
-    (``True``).
-
-    Backwards compatibility: a subclass written against the pre-protocol
-    API (``needs_scores = True`` in the class body, no ``score_request``)
-    is translated at class creation — the boolean is mapped to
-    ``FULL_BLOCK``/``NONE`` so the trainer keeps supplying exactly the
-    scores it did before the protocol existed, instead of silently
-    passing ``None``.
-    """
-
-    def __new__(mcls, name, bases, namespace, **kwargs):
-        legacy = namespace.get("needs_scores")
-        if isinstance(legacy, bool):
-            # Drop the plain attribute (it would shadow the derived
-            # instance property) and honour its intent unless the class
-            # also declares the new protocol explicitly.
-            del namespace["needs_scores"]
-            namespace.setdefault(
-                "score_request",
-                ScoreRequest.FULL_BLOCK if legacy else ScoreRequest.NONE,
-            )
-        return super().__new__(mcls, name, bases, namespace, **kwargs)
-
-    @property
-    def needs_scores(cls) -> bool:
-        return _derive_needs_scores(cls.score_request)
 
 
 @dataclass(frozen=True)
@@ -187,13 +141,12 @@ def group_batch_by_user(users: np.ndarray) -> BatchGroups:
     return BatchGroups(unique_users, rows, order, boundaries)
 
 
-class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
+class NegativeSampler(ABC):
     """Base class for all negative samplers.
 
     Lifecycle: construct → :meth:`bind` (dataset + model + rng) →
     per epoch :meth:`on_epoch_start` → per mini-batch :meth:`sample_batch`
-    (or many per-user :meth:`sample_for_user` calls on the scalar path,
-    or one :meth:`sample_one` per triple for batches of one).
+    (or one :meth:`sample_one` per triple for batches of one).
     """
 
     #: What score data the trainer must provide per batch (see
@@ -203,21 +156,6 @@ class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
     score_request: ClassVar[ScoreRequest] = ScoreRequest.NONE
     #: Short name used in reports and experiment configs.
     name: ClassVar[str] = "base"
-
-    @property
-    def needs_scores(self) -> bool:
-        """Derived boolean view of :attr:`score_request` (kept for
-        backwards compatibility: ``True`` unless the request is ``NONE``)."""
-        return _derive_needs_scores(self.score_request)
-
-    @needs_scores.setter
-    def needs_scores(self, value: bool) -> None:
-        # Legacy instance-level assignment (pre-protocol samplers did
-        # `self.needs_scores = True` in __init__): mirror the metaclass
-        # translation onto the instance's score_request.
-        self.score_request = (
-            ScoreRequest.FULL_BLOCK if value else ScoreRequest.NONE
-        )
 
     def __init__(self) -> None:
         self._dataset: Optional[ImplicitDataset] = None
@@ -298,9 +236,9 @@ class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
         through cannot change the draws — RNG parity is untouched).
 
         This compatibility fallback groups the batch by sorted unique user
-        and delegates to :meth:`sample_for_user`, which is exactly the
-        scalar trainer path; vectorized subclasses override it but must
-        keep the RNG-parity contract.
+        and delegates to :meth:`sample_for_user` — the per-user reference
+        of the RNG-parity contract; vectorized subclasses override it but
+        must keep that contract.
         """
         users, pos_items = self._check_batch(users, pos_items)
         if users.size == 0:

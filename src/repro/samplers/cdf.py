@@ -44,12 +44,12 @@ elementwise arithmetic, so for a bound seed and equal estimator state
 ``sample_for_user`` grouping and ``sample_batch`` return identical
 negatives — the same RNG-parity contract the samplers themselves honour
 (``repro.samplers.base``).  One scoped divergence: :class:`CachedCDF`'s
-staleness clock ticks once per sampler *dispatch*, and the scalar trainer
-path dispatches once per unique user per batch where the batched path
-dispatches once per batch, so across a multi-batch run with a moving
-model the two paths refresh at different points and cached-mode runs are
-statistically, not bitwise, equivalent across paths (exactly like the
-documented gemm-vs-gemv trainer divergence).
+staleness clock ticks once per sampler *dispatch* — once per batch on the
+trainer's batched route, once per triple on its per-triple kernel, once
+per user on the scalar ``sample_for_user`` path — so with a moving model
+the routes refresh at different points and cached-mode runs are
+statistically, not bitwise, equivalent across them (exactly like the
+documented gemm-vs-gemv divergence between the trainer's two routes).
 """
 
 from __future__ import annotations
@@ -116,11 +116,10 @@ class CDFEstimator(ABC):
 
     def advance(self) -> None:
         """One sampler dispatch happened (staleness clock tick); no-op by
-        default.  The scalar trainer path dispatches once per user per
-        batch, the batched path once per batch (and a run mixing both —
-        e.g. an epoch's ragged final batch below
-        ``batched_sampling_min_batch`` — ticks accordingly), so staleness
-        is counted in *dispatches*, not wall-clock batches.  Each path is
+        default.  The trainer dispatches once per batch of two or more rows
+        and once per triple in a batch of one (``sample_one``), and the
+        scalar ``sample_for_user`` path once per user, so staleness is counted
+        in *dispatches*, not wall-clock batches.  Each route is
         deterministic under a bound seed; they are not bitwise
         interchangeable for stateful estimators (see module docstring)."""
 

@@ -22,12 +22,11 @@ so the kernel changes speed, not results.  BNS and MF override them: the
 gemv, sort, dots and ``exp`` stay numpy calls, and the IEEE-exact
 arithmetic of Eq. 4/15/31–32 runs on Python floats.
 
-``TrainingConfig(batched_sampling=False)`` keeps the legacy scalar path —
-group by user, per-user ``scores`` + ``sample_for_user`` — for A/B checks
-and benchmarks.  The two paths draw identical randomness (the samplers'
-RNG-parity contract) and differ only in score rounding: ``scores_batch``
-is a BLAS gemm whose last-ulp rounding can differ from the per-user gemv,
-so runs are statistically equivalent, not bitwise.
+These are the only two routes: a batch of two or more rows is always
+grouped by user once and sent through one ``sample_batch``.  The
+``scores_batch`` gemm can differ from the per-triple gemv in the last ulp,
+so the same row scored on the two routes is statistically, not bitwise,
+equal; the samplers' RNG-parity contract keeps the randomness identical.
 """
 
 from __future__ import annotations
@@ -71,31 +70,12 @@ class TrainingConfig:
     seed: Optional[int] = 0
     lr_schedule: Optional[Schedule] = None
     shuffle: bool = True
-    #: Use the vectorized sampling pipeline (one ``scores_batch`` + one
-    #: ``sample_batch`` per mini-batch).  ``False`` restores the legacy
-    #: per-user scalar path.
-    batched_sampling: bool = True
-    #: Smallest mini-batch routed through the batched pipeline; smaller
-    #: batches take the scalar path, whose per-call overhead is lower, and
-    #: batches of one row (every batch of the paper's ``batch_size=1``
-    #: SGD, or an epoch's ragged final batch) the per-triple kernel.  The
-    #: default of 2 reproduces the pre-threshold routing exactly (only
-    #: single-row batches leave the batched path), keeping default-config
-    #: runs bitwise-identical across the refactor — rerouting a batch
-    #: flips its scores from gemm to gemv, a last-ulp change that can
-    #: flip a risk argmin.  The measured BNS crossover is
-    #: ≈3 (batched/scalar ≈ 0.85× at B=2, 1.2× at B=3, 1.5× at B=4 — see
-    #: ``BENCH_samplers.json``), so set 3–4 when ragged small batches
-    #: dominate and bitwise continuity does not matter; SRNS/AOBPR
-    #: amortize later still (≈ B=12).
-    batched_sampling_min_batch: int = 2
 
     def __post_init__(self) -> None:
         check_positive(self.epochs, "epochs")
         check_positive(self.batch_size, "batch_size")
         check_positive(self.lr, "lr")
         check_non_negative(self.reg, "reg")
-        check_positive(self.batched_sampling_min_batch, "batched_sampling_min_batch")
 
     def resolve_lr_schedule(self) -> Schedule:
         """The LR schedule (constant at ``lr`` unless one was given)."""
@@ -240,16 +220,13 @@ class Trainer:
     def _n_single_rows(self, n: int) -> int:
         """How many of an epoch's ``n`` rows the per-triple kernel trains.
 
-        Batches of one row below ``batched_sampling_min_batch`` (or with
-        batched sampling off) take it: every row at ``batch_size=1``, else
-        only a final ragged batch of one.
+        Every row at ``batch_size=1``, else only a final ragged batch of
+        one.
         """
-        config = self.config
-        if config.batched_sampling and config.batched_sampling_min_batch <= 1:
-            return 0
-        if config.batch_size == 1:
+        batch_size = self.config.batch_size
+        if batch_size == 1:
             return n
-        return int(n % config.batch_size == 1)
+        return int(n % batch_size == 1)
 
     def _train_triples(
         self,
@@ -263,8 +240,8 @@ class Trainer:
 
         Fills ``neg_out``/``info_out`` from ``offset`` on.  A
         ``FULL_BLOCK`` sampler gets the user's ``scores`` row (a gemv) per
-        triple, as on the scalar path.  Ids are turned into Python ints a
-        chunk at a time, so the lists stay small next to the epoch arrays.
+        triple.  Ids are turned into Python ints a chunk at a time, so the
+        lists stay small next to the epoch arrays.
         """
         model, optimizer, reg = self.model, self.optimizer, self.config.reg
         scores = None
@@ -293,26 +270,16 @@ class Trainer:
     ) -> np.ndarray:
         """One negative per (user, positive) for the whole mini-batch.
 
-        Batched path: group the batch **once**, provide the score data the
-        sampler's :class:`~repro.samplers.base.ScoreRequest` asks for —
-        the unique users' score block in one ``scores_batch`` call for
-        ``FULL_BLOCK`` samplers, nothing for ``SPARSE``/``NONE`` samplers
-        (sparse samplers gather-score only the item ids they touch) — and
-        hand both to one ``sample_batch`` dispatch; the sampler reuses the
-        precomputed :class:`~repro.samplers.base.BatchGroups` instead of
-        re-deriving the grouping (and grouping is deterministic, so the
-        negatives are unchanged).  Batches smaller than
-        ``config.batched_sampling_min_batch`` skip the batch machinery —
-        below the measured crossover, grouping costs more than it saves,
-        and the draw cores are shared so the negatives are statistically
-        the same.  Batches of one never get here (see
+        Group the batch **once**, provide the score data the sampler's
+        :class:`~repro.samplers.base.ScoreRequest` asks for — the unique
+        users' score block in one ``scores_batch`` call for ``FULL_BLOCK``
+        samplers, nothing for ``SPARSE``/``NONE`` samplers (sparse samplers
+        gather-score only the item ids they touch) — and hand both to one
+        ``sample_batch`` dispatch; the sampler reuses the precomputed
+        :class:`~repro.samplers.base.BatchGroups` instead of re-deriving
+        the grouping.  Batches of one never get here (see
         :meth:`_train_triples`).
         """
-        if (
-            not self.config.batched_sampling
-            or batch_users.size < self.config.batched_sampling_min_batch
-        ):
-            return self._sample_negatives_scalar(batch_users, batch_pos)
         groups = group_batch_by_user(batch_users)
         scores = None
         if self.sampler.score_request is ScoreRequest.FULL_BLOCK:
@@ -320,18 +287,3 @@ class Trainer:
         return self.sampler.sample_batch(
             batch_users, batch_pos, scores, groups=groups
         )
-
-    def _sample_negatives_scalar(
-        self, batch_users: np.ndarray, batch_pos: np.ndarray
-    ) -> np.ndarray:
-        """Legacy per-user path: group by user, score and sample per group."""
-        full_block = self.sampler.score_request is ScoreRequest.FULL_BLOCK
-        negatives = np.empty(batch_users.size, dtype=np.int64)
-        unique_users = np.unique(batch_users)
-        for user in unique_users:
-            mask = batch_users == user
-            scores = self.model.scores(int(user)) if full_block else None
-            negatives[mask] = self.sampler.sample_for_user(
-                int(user), batch_pos[mask], scores
-            )
-        return negatives

@@ -103,6 +103,12 @@ class TestPopularityMetrics:
         )
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("max_users", [0, -1])
+    def test_non_positive_max_users_rejected(self, micro_dataset, max_users):
+        model = ConstantModel(micro_dataset.n_items)
+        with pytest.raises(ValueError, match=f"max_users must be > 0, got {max_users}"):
+            catalog_coverage(model, micro_dataset, k=2, max_users=max_users)
+
 
 class TestFootprint:
     def test_keys(self, micro_dataset):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eval_oracle import per_user_reference
 from repro.eval.protocol import Evaluator
 
 
@@ -74,6 +75,12 @@ class TestEvaluator:
         Evaluator(micro_dataset, ks=(2,), max_users=2).evaluate(Probe(micro_dataset))
         assert len(set(calls)) == 2
 
+    @pytest.mark.parametrize("max_users", [0, -1, -5])
+    def test_non_positive_max_users_rejected(self, micro_dataset, max_users):
+        # A negative cap used to slice as "all but the last |cap| users".
+        with pytest.raises(ValueError, match=f"max_users must be > 0, got {max_users}"):
+            Evaluator(micro_dataset, ks=(2,), max_users=max_users)
+
     def test_ks_validated(self, micro_dataset):
         with pytest.raises(ValueError):
             Evaluator(micro_dataset, ks=())
@@ -85,18 +92,20 @@ class TestEvaluator:
             Evaluator(micro_dataset, ks=(2,), chunk_users=0)
 
     def test_batched_and_scalar_paths_agree(self, micro_dataset, micro_model):
-        """A/B knob: both execution paths produce the same averages.
+        """The chunked pipeline and the per-user oracle (tests/
+        eval_oracle.py) produce the same averages on a real model.
 
         (Tolerance instead of exact equality only because MF's
         ``scores_batch`` gemm may differ from per-user gemv in the last
         ulp; exact per-user parity on a shared score source is pinned by
         tests/property/test_property_eval_batch.py.)
         """
-        options = dict(ks=(1, 3, 5), extra_metrics=True)
-        batched = Evaluator(micro_dataset, **options).evaluate(micro_model)
-        scalar = Evaluator(micro_dataset, batched=False, **options).evaluate(
-            micro_model
-        )
+        evaluator = Evaluator(micro_dataset, ks=(1, 3, 5), extra_metrics=True)
+        batched = evaluator.evaluate(micro_model)
+        scalar = {
+            key: float(values.mean())
+            for key, values in per_user_reference(evaluator, micro_model).items()
+        }
         assert set(batched) == set(scalar)
         for key, value in batched.items():
             assert value == pytest.approx(scalar[key], abs=1e-12), key

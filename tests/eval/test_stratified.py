@@ -106,3 +106,13 @@ class TestStratifiedRecall:
     def test_k_validated(self, skewed_dataset):
         with pytest.raises(ValueError):
             stratified_recall(self.OracleModel(skewed_dataset), skewed_dataset, k=0)
+
+    @pytest.mark.parametrize("max_users", [0, -1])
+    def test_non_positive_max_users_rejected(self, skewed_dataset, max_users):
+        with pytest.raises(ValueError, match=f"max_users must be > 0, got {max_users}"):
+            stratified_recall(
+                self.OracleModel(skewed_dataset),
+                skewed_dataset,
+                k=3,
+                max_users=max_users,
+            )

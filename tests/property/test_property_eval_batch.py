@@ -1,10 +1,10 @@
-"""Batched/scalar evaluator parity: the eval-pipeline refactor's invariant.
+"""Batched/scalar evaluator parity: the eval pipeline's invariant.
 
-``Evaluator(batched=True)`` (chunked score blocks, batched top-K, CSR hit
-matrix, cumulative-sum metric kernels) must return **bitwise identical
-per-user metrics** to ``Evaluator(batched=False)`` (per-user scores,
-per-user top-K, scalar metric functions) whenever both paths consume the
-same score *values*.
+:class:`~repro.eval.protocol.Evaluator` (chunked score blocks, batched
+top-K, CSR hit matrix, cumulative-sum metric kernels) must return
+**bitwise identical per-user metrics** to the per-user oracle in
+``tests/eval_oracle.py`` (per-user scores, per-user top-K, scalar metric
+functions) whenever both consume the same score *values*.
 
 The score source here is a fixed table whose ``scores_batch`` is an exact
 row gather, so the paths see identical floats (real models' gemm-vs-gemv
@@ -21,6 +21,7 @@ and keeps failures trivially reproducible.
 import numpy as np
 import pytest
 
+from eval_oracle import per_user_reference
 from repro.data.dataset import ImplicitDataset
 from repro.data.interactions import InteractionMatrix
 from repro.eval.protocol import Evaluator
@@ -90,14 +91,9 @@ def make_table(rng, dataset, ties):
 
 
 def assert_paths_equal(dataset, model, **options):
-    batched = Evaluator(dataset, batched=True, **options)
-    scalar = Evaluator(
-        dataset,
-        batched=False,
-        **{key: value for key, value in options.items() if key != "chunk_users"},
-    )
+    batched = Evaluator(dataset, **options)
     per_user_batched = batched.evaluate_per_user(model)
-    per_user_scalar = scalar.evaluate_per_user(model)
+    per_user_scalar = per_user_reference(batched, model)
     assert list(per_user_batched) == list(per_user_scalar)
     n_users = batched.evaluated_users().size
     for key, values in per_user_batched.items():
@@ -150,10 +146,10 @@ def test_chunk_boundaries_do_not_matter(chunk_users):
     dataset = make_dataset(rng)
     model = TableModel(make_table(rng, dataset, ties=True))
     reference = Evaluator(
-        dataset, ks=(5, 20), extra_metrics=True, batched=True, chunk_users=7
+        dataset, ks=(5, 20), extra_metrics=True, chunk_users=7
     ).evaluate_per_user(model)
     other = Evaluator(
-        dataset, ks=(5, 20), extra_metrics=True, batched=True, chunk_users=chunk_users
+        dataset, ks=(5, 20), extra_metrics=True, chunk_users=chunk_users
     ).evaluate_per_user(model)
     for key, values in reference.items():
         assert np.array_equal(values, other[key]), key

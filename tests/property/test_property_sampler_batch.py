@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.models.mf import MatrixFactorization
-from repro.samplers.base import group_batch_by_user
+from repro.samplers.base import ScoreRequest, group_batch_by_user
 from repro.samplers.variants import make_sampler
 
 #: Every name the registry accepts (keep in sync with
@@ -77,11 +77,11 @@ def run_both_paths(name, dataset, seed, epoch, batch_size):
     batch_sampler.bind(dataset, model, seed=seed)
     scalar_sampler.on_epoch_start(epoch)
     batch_sampler.on_epoch_start(epoch)
-    # Query needs_scores after on_epoch_start: delegating samplers (BNS-2)
+    # Query score_request after on_epoch_start: delegating samplers (BNS-2)
     # only settle their score request once the epoch's active sampler is
     # known.
     scores = None
-    if scalar_sampler.needs_scores:
+    if scalar_sampler.score_request is not ScoreRequest.NONE:
         scores = model.scores_batch(np.unique(users))
     expected = scalar_reference(scalar_sampler, users, pos_items, scores)
     actual = batch_sampler.sample_batch(users, pos_items, scores)
@@ -150,7 +150,7 @@ def test_precomputed_groups_change_nothing(name, tiny_dataset):
     scores = None
     plain = make_sampler(name)
     grouped = make_sampler(name)
-    if plain.needs_scores:
+    if plain.score_request is not ScoreRequest.NONE:
         scores = model.scores_batch(np.unique(users))
     plain.bind(tiny_dataset, model, seed=13)
     grouped.bind(tiny_dataset, model, seed=13)
@@ -173,9 +173,9 @@ def test_batch_never_samples_train_positive(name, tiny_dataset):
     sampler = make_sampler(name)
     sampler.bind(tiny_dataset, model, seed=4)
     sampler.on_epoch_start(0)
-    scores = (
-        model.scores_batch(np.unique(users)) if sampler.needs_scores else None
-    )
+    scores = None
+    if sampler.score_request is not ScoreRequest.NONE:
+        scores = model.scores_batch(np.unique(users))
     negatives = sampler.sample_batch(users, pos_items, scores)
     assert negatives.shape == users.shape
     for user, item in zip(users.tolist(), negatives.tolist()):
@@ -190,6 +190,8 @@ def test_empty_batch(name, tiny_dataset):
     sampler = make_sampler(name)
     sampler.bind(tiny_dataset, model, seed=0)
     empty = np.empty(0, dtype=np.int64)
-    scores = np.empty((0, tiny_dataset.n_items)) if sampler.needs_scores else None
+    scores = None
+    if sampler.score_request is not ScoreRequest.NONE:
+        scores = np.empty((0, tiny_dataset.n_items))
     out = sampler.sample_batch(empty, empty, scores)
     assert out.size == 0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.data.dataset import ImplicitDataset
 from repro.data.interactions import InteractionMatrix
 from repro.models.mf import MatrixFactorization
+from repro.samplers.base import ScoreRequest
 from repro.samplers.variants import make_sampler
 
 
@@ -67,7 +68,9 @@ def test_never_samples_train_positive(name, dataset, seed):
     sampler.on_epoch_start(0)
     for user in dataset.trainable_users()[:4].tolist():
         positives = dataset.train.items_of(user)
-        scores = model.scores(user) if sampler.needs_scores else None
+        scores = None
+        if sampler.score_request is not ScoreRequest.NONE:
+            scores = model.scores(user)
         out = sampler.sample_for_user(user, np.repeat(positives, 3), scores)
         assert out.shape == (positives.size * 3,)
         assert not set(positives.tolist()).intersection(out.tolist())

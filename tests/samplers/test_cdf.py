@@ -153,10 +153,14 @@ class TestScoreRequestProtocol:
         )
 
     def test_needs_scores_derived(self):
-        assert BayesianNegativeSampler(cdf="subsampled:16").needs_scores is True
-        assert make_sampler("rns").needs_scores is False
-        # Class-level access (the legacy spelling) stays resolvable.
-        assert BayesianNegativeSampler.needs_scores is True
+        # Every mode but NONE consumes model scores.
+        assert (
+            BayesianNegativeSampler(cdf="subsampled:16").score_request
+            is not ScoreRequest.NONE
+        )
+        assert make_sampler("rns").score_request is ScoreRequest.NONE
+        # Class-level access stays resolvable.
+        assert BayesianNegativeSampler.score_request is ScoreRequest.FULL_BLOCK
 
     def test_make_cdf_specs(self):
         assert isinstance(make_cdf(None), ExactCDF)
@@ -465,55 +469,6 @@ def test_estimator_refuses_second_sampler(tiny_dataset):
     second = BayesianNegativeSampler(cdf=shared)
     with pytest.raises(ValueError, match="already bound"):
         second.bind(tiny_dataset, model_b, seed=0)
-
-
-def test_legacy_instance_needs_scores_assignment():
-    """Pre-protocol samplers assigned `self.needs_scores = True` in
-    __init__; the property setter maps it onto score_request."""
-    from repro.samplers.rns import RandomNegativeSampler
-
-    sampler = RandomNegativeSampler()
-    sampler.needs_scores = True
-    assert sampler.score_request is ScoreRequest.FULL_BLOCK
-    assert sampler.needs_scores is True
-    sampler.needs_scores = False
-    assert sampler.score_request is ScoreRequest.NONE
-
-
-def test_legacy_needs_scores_subclass_translated(tiny_dataset):
-    """A pre-protocol subclass declaring only `needs_scores = True` keeps
-    receiving score vectors from the trainer (mapped to FULL_BLOCK)."""
-    import numpy as np
-
-    from repro.samplers.base import NegativeSampler
-
-    seen = []
-
-    class Legacy(NegativeSampler):
-        needs_scores = True
-
-        def sample_for_user(self, user, pos_items, scores):
-            seen.append(scores is not None)
-            assert scores is not None and scores.size == self.dataset.n_items
-            best = int(np.argmax(scores))
-            return np.full(np.asarray(pos_items).size, best, dtype=np.int64)
-
-    assert Legacy.score_request is ScoreRequest.FULL_BLOCK
-    assert Legacy.needs_scores is True
-    assert Legacy().needs_scores is True
-    model = MatrixFactorization(
-        tiny_dataset.n_users, tiny_dataset.n_items, n_factors=4, seed=0
-    )
-    from repro.train.trainer import Trainer, TrainingConfig
-
-    trainer = Trainer(
-        model,
-        tiny_dataset,
-        Legacy(),
-        TrainingConfig(epochs=1, batch_size=8, lr=0.05, seed=0),
-    )
-    trainer.fit()
-    assert seen and all(seen)
 
 
 def test_repr_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.samplers.aobpr import AOBPRSampler
+from repro.samplers.base import ScoreRequest
 from repro.samplers.dns import DynamicNegativeSampler
 from repro.samplers.srns import SRNSSampler
 
@@ -16,7 +17,7 @@ class TestDNS:
         return sampler
 
     def test_needs_scores(self):
-        assert DynamicNegativeSampler.needs_scores is True
+        assert DynamicNegativeSampler.score_request is ScoreRequest.FULL_BLOCK
 
     def test_requires_scores(self, bound):
         with pytest.raises(ValueError, match="score vector"):

@@ -52,14 +52,16 @@ class TestCommands:
 
 
 class TestSublinearFlags:
-    def test_cdf_and_min_batch_parsed(self):
+    def test_cdf_parsed_and_min_batch_rejected(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["train", "--cdf", "subsampled:64", "--min-batch", "8"]
-        )
+        parser = build_parser()
+        args = parser.parse_args(["train", "--cdf", "subsampled:64"])
         assert args.cdf == "subsampled:64"
-        assert args.min_batch == 8
+        # Batches of one always take the per-triple kernel and larger ones
+        # the batched route: there is no threshold left to set.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--min-batch", "8"])
 
     def test_train_with_sparse_cdf_runs(self, capsys):
         from repro.cli import main
@@ -73,8 +75,6 @@ class TestSublinearFlags:
                 "bns",
                 "--cdf",
                 "subsampled:32",
-                "--min-batch",
-                "2",
                 "--epochs",
                 "2",
                 "--batch-size",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.mf import MatrixFactorization
+from repro.samplers.base import ScoreRequest
 from repro.samplers.rns import RandomNegativeSampler
 from repro.samplers.dns import DynamicNegativeSampler
 from repro.train.callbacks import Callback, HistoryRecorder
@@ -176,15 +177,54 @@ class TestTrainerCallbacks:
         assert epochs_seen == [0, 1, 2]
 
 
+def per_user_reference_trainer(dataset, **kwargs):
+    """A trainer whose batches of two or more rows take the per-user
+    reference instead of ``sample_batch``: group by sorted unique user,
+    then one ``scores`` gemv (for score-consuming samplers) and one
+    ``sample_for_user`` call per user — what the samplers' RNG-parity
+    contract compares the batched route against."""
+    trainer = make_trainer(dataset, **kwargs)
+    sampler, model = trainer.sampler, trainer.model
+    full_block = sampler.score_request is ScoreRequest.FULL_BLOCK
+
+    def sample_per_user(batch_users, batch_pos):
+        negatives = np.empty(batch_users.size, dtype=np.int64)
+        for user in np.unique(batch_users).tolist():
+            mask = batch_users == user
+            scores = model.scores(user) if full_block else None
+            negatives[mask] = sampler.sample_for_user(user, batch_pos[mask], scores)
+        return negatives
+
+    trainer._sample_negatives = sample_per_user
+    return trainer
+
+
 class TestBatchedSampling:
-    def test_batched_is_default(self):
-        assert TrainingConfig().batched_sampling is True
+    def test_batched_is_default(self, micro_dataset, monkeypatch):
+        """Batches of two or more rows have one route: no per-user
+        ``sample_for_user`` or per-triple ``sample_one`` call."""
+        # micro: 9 pairs at batch 3 → three full batches, no batch of one.
+        trainer = make_trainer(
+            micro_dataset,
+            epochs=2,
+            batch_size=3,
+            sampler=DynamicNegativeSampler(n_candidates=3),
+        )
+        for name in ("sample_for_user", "sample_one"):
+
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called for a batch of three")
+
+            monkeypatch.setattr(trainer.sampler, name, forbidden)
+        for stats in trainer.fit():
+            assert stats.n_triples == micro_dataset.train.n_interactions
 
     def test_batched_matches_scalar_for_score_free_sampler(self, micro_dataset):
-        """RNS never reads scores, so the batched and scalar trainer paths
-        consume identical randomness AND produce bitwise-identical runs."""
-        batched = make_trainer(micro_dataset, epochs=3, batched_sampling=True)
-        scalar = make_trainer(micro_dataset, epochs=3, batched_sampling=False)
+        """RNS never reads scores, so the trainer's batched route and the
+        per-user reference consume identical randomness AND produce
+        bitwise-identical runs."""
+        batched = make_trainer(micro_dataset, epochs=3)
+        scalar = per_user_reference_trainer(micro_dataset, epochs=3)
         history_b, history_s = batched.fit(), scalar.fit()
         for epoch_b, epoch_s in zip(history_b, history_s):
             assert np.array_equal(epoch_b.neg_items, epoch_s.neg_items)
@@ -193,19 +233,12 @@ class TestBatchedSampling:
     def test_batched_scalar_statistically_close_for_dns(self, tiny_dataset):
         """Score-dependent samplers see gemm-vs-gemv rounding (the one
         documented divergence), so runs are close, not bitwise equal."""
+        options = dict(epochs=5, batch_size=8)
         batched = make_trainer(
-            tiny_dataset,
-            epochs=5,
-            batch_size=8,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling=True,
+            tiny_dataset, sampler=DynamicNegativeSampler(n_candidates=3), **options
         )
-        scalar = make_trainer(
-            tiny_dataset,
-            epochs=5,
-            batch_size=8,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling=False,
+        scalar = per_user_reference_trainer(
+            tiny_dataset, sampler=DynamicNegativeSampler(n_candidates=3), **options
         )
         history_b, history_s = batched.fit(), scalar.fit()
         assert abs(history_b[-1].mean_loss - history_s[-1].mean_loss) < 0.05
@@ -220,32 +253,8 @@ class TestBatchedSampling:
 
 
 class TestScalarFallbackThreshold:
-    """The configurable small-batch crossover (batched_sampling_min_batch)."""
-
-    def test_default_and_validation(self):
-        # Default 2 == the pre-threshold routing (scalar only at size 1),
-        # keeping default-config runs bitwise-identical across the
-        # refactor; the measured crossover (~3 for BNS) is documentation
-        # for tuning, not the default.
-        assert TrainingConfig().batched_sampling_min_batch == 2
-        with pytest.raises(ValueError):
-            TrainingConfig(batched_sampling_min_batch=0)
-
-    def test_small_batches_route_scalar(self, micro_dataset, monkeypatch):
-        """Batches below the threshold must never touch sample_batch."""
-        trainer = make_trainer(
-            micro_dataset,
-            epochs=1,
-            batch_size=2,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=3,
-        )
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("sample_batch called below the threshold")
-
-        monkeypatch.setattr(trainer.sampler, "sample_batch", forbidden)
-        trainer.fit()
+    """Only batches of one leave the batched route (for the per-triple
+    kernel); every batch of two or more rows goes through ``sample_batch``."""
 
     def test_large_batches_route_batched(self, micro_dataset, monkeypatch):
         trainer = make_trainer(
@@ -253,7 +262,6 @@ class TestScalarFallbackThreshold:
             epochs=1,
             batch_size=4,
             sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=3,
         )
         calls = []
         original = trainer.sampler.sample_batch
@@ -265,22 +273,8 @@ class TestScalarFallbackThreshold:
         monkeypatch.setattr(trainer.sampler, "sample_batch", spy)
         trainer.fit()
         # micro: 9 pairs at batch 4 → batches of 4, 4, 1; only the ragged
-        # final batch (1 < 3) falls back to the scalar path.
+        # final batch of one takes the per-triple kernel.
         assert calls == [4, 4]
-
-    def test_threshold_one_forces_batched_everywhere(self, micro_dataset):
-        """min_batch=1 pushes even single-row batches through sample_batch
-        — the negatives stay valid and the run completes."""
-        trainer = make_trainer(
-            micro_dataset,
-            epochs=2,
-            batch_size=1,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=1,
-        )
-        for stats in trainer.fit():
-            for user, item in zip(stats.users, stats.neg_items):
-                assert not micro_dataset.train.contains(int(user), int(item))
 
 
 class TestPerTripleKernel:
@@ -330,16 +324,6 @@ class TestPerTripleKernel:
         assert calls == [
             (int(s.users[-1]), int(s.pos_items[-1])) for s in history
         ]
-
-    def test_threshold_one_keeps_batches_of_one_batched(
-        self, micro_dataset, monkeypatch
-    ):
-        trainer = make_trainer(
-            micro_dataset, epochs=1, batch_size=1, batched_sampling_min_batch=1
-        )
-        self._forbid(monkeypatch, trainer.sampler, "sample_one")
-        self._forbid(monkeypatch, trainer.model, "train_triple")
-        trainer.fit()
 
     def test_ids_checked_once_before_training(self, micro_dataset):
         """A model smaller than the dataset fails before any update."""
