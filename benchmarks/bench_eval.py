@@ -25,11 +25,11 @@ Environment knobs (for CI smoke runs on shared, noisy runners):
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 
+from conftest import best_seconds
 from eval_oracle import per_user_reference
 from repro.data.registry import dataset_from_log, load_dataset
 from repro.data.synthetic import PRESETS, LatentFactorGenerator
@@ -53,17 +53,6 @@ def _bench_dataset(name):
     return dataset_from_log(log, seed=0)
 
 
-def _best_seconds(fn, repeats):
-    """Best-of-N wall time — the standard load-robust microbench estimator."""
-    fn()  # warm caches (negative table, BLAS, CSR indices)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(min(times))
-
-
 def test_batched_vs_scalar_eval_speedup():
     """Record the scalar-vs-batched evaluation comparison and gate it.
 
@@ -80,11 +69,11 @@ def test_batched_vs_scalar_eval_speedup():
     n_users = batched_eval.evaluated_users().size
 
     scalar_repeats = 3 if n_users >= 500 else 10
-    scalar_seconds = _best_seconds(
-        lambda: per_user_reference(batched_eval, model), scalar_repeats
+    (scalar_seconds,) = best_seconds(
+        lambda: per_user_reference(batched_eval, model), repeats=scalar_repeats
     )
-    batched_seconds = _best_seconds(
-        lambda: batched_eval.evaluate_per_user(model), 10
+    (batched_seconds,) = best_seconds(
+        lambda: batched_eval.evaluate_per_user(model), repeats=10
     )
     speedup = scalar_seconds / batched_seconds
 

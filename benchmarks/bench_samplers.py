@@ -18,11 +18,11 @@ Two suites:
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import best_seconds
 
 from repro.data.registry import load_dataset
 from repro.models.mf import MatrixFactorization
@@ -91,17 +91,6 @@ def _mixed_batch(dataset, rng, size):
     return users, pos
 
 
-def _best_seconds(fn, repeats):
-    """Best-of-N wall time — the standard load-robust microbench estimator."""
-    fn()  # warm caches (negative table, prior bind, BLAS)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(min(times))
-
-
 def _measure(name, dataset, model, users, pos, repeats):
     """Triples/sec of the per-user loop vs the trainer's dispatch.
 
@@ -109,7 +98,7 @@ def _measure(name, dataset, model, users, pos, repeats):
     ``sample_batch`` call: a batch of one goes to the per-triple
     ``sample_one`` (with the user's ``scores`` gemv for ``FULL_BLOCK``
     samplers), every larger batch to one ``scores_batch`` + one
-    ``sample_batch``.
+    ``sample_batch``.  The two sides are timed in alternating rounds.
     """
     scalar_sampler = make_sampler(name)
     scalar_sampler.bind(dataset, model, seed=0)
@@ -139,8 +128,9 @@ def _measure(name, dataset, model, users, pos, repeats):
         scores = model.scores_batch(np.unique(users)) if full_block else None
         return batched_sampler.sample_batch(users, pos, scores)
 
-    scalar_seconds = _best_seconds(per_user_loop, repeats)
-    batched_seconds = _best_seconds(batched, repeats)
+    scalar_seconds, batched_seconds = best_seconds(
+        per_user_loop, batched, repeats=repeats
+    )
     return {
         "scalar_triples_per_s": round(users.size / scalar_seconds, 1),
         "batched_triples_per_s": round(users.size / batched_seconds, 1),
@@ -175,8 +165,9 @@ def test_batched_vs_scalar_speedup():
     # RNS path documents exactly what the contract costs.
     users_1024, _ = _mixed_batch(dataset, batch_rng, 1024)
     rows_rng = as_rng(0)
-    nonparity_seconds = _best_seconds(
-        lambda: dataset.train.sample_negatives_rows(users_1024, rows_rng), 20
+    (nonparity_seconds,) = best_seconds(
+        lambda: dataset.train.sample_negatives_rows(users_1024, rows_rng),
+        repeats=20,
     )
     bns_speedup = results["bns"]["1024"]["speedup"]
     payload = {

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from pathlib import Path
+from typing import Callable, List
 
 import pytest
 
@@ -22,6 +24,26 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 # Benches that time a path against its tests-side oracle (``bench_eval``
 # against ``tests/eval_oracle.py``) import it the way the test suite does.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+
+
+def best_seconds(*fns: Callable[[], object], repeats: int) -> List[float]:
+    """Best-of-``repeats`` wall time of each of ``fns``, in seconds.
+
+    Each function runs once to warm caches (negative tables, BLAS, CSR
+    indices), then every round times each function once, in turn.  With
+    several functions the rounds alternate between them, so a host that
+    drifts faster or slower over the measurement moves every side alike
+    instead of biasing the ratio between sides timed minutes apart.
+    """
+    for fn in fns:
+        fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
 
 
 def bench_scale() -> str:

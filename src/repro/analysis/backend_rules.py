@@ -1,16 +1,15 @@
-"""Backend-seam rules: R007 (no direct numpy dense algebra in kernels).
+"""Kernel-seam rules: R007 (no direct numpy dense algebra in kernels).
 
-The compute-backend layer (:mod:`repro.backend`) exists so the hot dense
-kernels — model scoring, the evaluator's score blocks, serving's ranking
-blocks — run on whichever backend the spec selects.  That routing only
-holds if the kernel modules actually *go through the seam*: one stray
-``np.einsum`` in a scoring path silently pins that path to numpy and the
-torch/float32 modes diverge from what the benchmarks measured.  R007
-bans the numpy dense-algebra entry points in the backend-routed modules;
-the backend package itself is exempt (its numpy implementation *is* the
-seam), and intentional host-side math — e.g. training-gradient
-arithmetic that is backend-independent by design — carries an auditable
-``# repro: noqa[R007] -- why``.
+:data:`repro.backend.KERNELS` names every hot dense contraction — model
+scoring, the evaluator's score blocks, serving's ranking blocks — so the
+contractions live in one module and a profiler can count or time each
+one by wrapping one method.  That only holds if the kernel modules
+actually *go through the seam*: one stray ``np.einsum`` in a scoring
+path is a contraction no kernel count sees.  R007 bans the numpy
+dense-algebra entry points in ``models/``, ``eval/`` and ``serve/``; the
+backend package itself is exempt (it *is* the seam), and intentional
+math outside the scoring kernels — e.g. training-gradient arithmetic —
+carries an auditable ``# repro: noqa[R007] -- why``.
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ __all__ = ["BackendSeamRule"]
 #: Modules whose dense kernels must route through ``repro.backend``.
 _KERNEL_PATH_MARKERS = ("/repro/models/", "/repro/eval/", "/repro/serve/")
 
-#: The backend package supplies the numpy implementations — exempt.
+#: The backend package holds the kernels themselves — exempt.
 _SEAM_PATH_MARKER = "/repro/backend/"
 
-#: numpy's dense-algebra entry points: every one has an ``ArrayBackend``
+#: numpy's dense-algebra entry points: every one has a ``NumpyBackend``
 #: counterpart (``pair_dot``/``gather_dot``/``gemm_nt``/``matvec``/
 #: ``spmm``).  Elementwise numpy (``+``, ``np.maximum``, reductions)
-#: stays allowed — the seam covers the *contraction* kernels where the
-#: backend choice changes cost and numerics.
+#: stays allowed — the seam covers the *contraction* kernels, which is
+#: where the time of scoring goes.
 _DENSE_ALGEBRA = frozenset(
     {
         "numpy.einsum",
@@ -59,19 +58,18 @@ def in_kernel_path(relpath: str) -> bool:
 class BackendSeamRule(Rule):
     """R007: kernel modules call ``repro.backend``, not numpy contractions.
 
-    Scope is ``repro/models/``, ``repro/eval/`` and ``repro/serve/`` —
-    the modules the backend layer routes.  A direct ``np.einsum`` /
-    ``np.matmul`` / ``np.dot`` there bypasses the selected backend: the
-    float64 numpy default would still be bitwise-correct, but torch and
-    float32 runs would silently execute a different kernel than the one
-    the parity suite and ``BENCH_backend.json`` certify.
+    Scope is ``repro/models/``, ``repro/eval/`` and ``repro/serve/``.  A
+    direct ``np.einsum`` / ``np.matmul`` / ``np.dot`` there bypasses the
+    named kernels: its result may be right, but a wrapped
+    :class:`~repro.backend.NumpyBackend` method does not count or time it,
+    so a per-kernel profile silently misses that work.
     """
 
     id = "R007"
     title = "backend-seam-purity"
     invariant = (
         "dense contractions in models/eval/serve go through the "
-        "ArrayBackend seam, never directly through numpy"
+        "repro.backend kernels, never directly through numpy"
     )
 
     def check_file(
@@ -88,8 +86,8 @@ class BackendSeamRule(Rule):
                 yield self.diagnostic(
                     module.path,
                     node,
-                    f"call to {dotted} bypasses the compute-backend seam",
-                    hint="route through the model's ArrayBackend (pair_dot/"
-                    "gather_dot/gemm_nt/matvec/spmm), or justify host-side "
-                    "math with `# repro: noqa[R007] -- why`",
+                    f"call to {dotted} bypasses the repro.backend kernels",
+                    hint="call repro.backend.KERNELS (pair_dot/gather_dot/"
+                    "gemm_nt/matvec/spmm), or justify math outside the "
+                    "scoring kernels with `# repro: noqa[R007] -- why`",
                 )

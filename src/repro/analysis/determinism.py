@@ -14,7 +14,7 @@ an auditable ``# repro: noqa[Rxxx] -- why`` rather than cleverness.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.framework import LintContext, ModuleFile, Rule, register

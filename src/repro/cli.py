@@ -125,14 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "train sub-linearly in the catalogue size",
     )
     train.add_argument(
-        "--backend",
-        choices=("numpy", "torch", "torch-cuda"),
-        default="numpy",
-        help="compute backend for the dense kernels; torch variants are "
-        "optional extras (torch-cuda serves scoring/eval only — training "
-        "needs host-shared parameters)",
-    )
-    train.add_argument(
         "--dtype",
         choices=("float64", "float32"),
         default="float64",
@@ -345,7 +337,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         n_factors=args.factors,
         seed=args.seed,
         cdf=args.cdf,
-        backend=args.backend,
         dtype=args.dtype,
     )
     result = run_spec(spec)

@@ -17,6 +17,7 @@ import numpy as np
 from repro.data.dataset import ImplicitDataset
 from repro.train.callbacks import Callback, EpochStats
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_positive
 
 __all__ = ["ScoreSnapshot", "ScoreDistributionRecorder", "score_snapshot"]
 
@@ -56,7 +57,12 @@ def score_snapshot(
     max_scores_per_class: int = 200_000,
     seed: SeedLike = 0,
 ) -> ScoreSnapshot:
-    """Collect TN/FN scores across (a sample of) users at the current state."""
+    """Collect TN/FN scores across (a sample of) users at the current state.
+
+    ``max_users`` (``>= 1``, or ``None`` for all) caps the sampled users;
+    ``max_scores_per_class`` (``>= 1``) caps each class's scores.
+    """
+    _check_caps(max_users, max_scores_per_class)
     rng = as_rng(seed)
     users = dataset.evaluable_users()
     if max_users is not None and users.size > max_users:
@@ -72,6 +78,12 @@ def score_snapshot(
     tn_scores = _subsample(np.concatenate(tn_chunks), max_scores_per_class, rng)
     fn_scores = _subsample(np.concatenate(fn_chunks), max_scores_per_class, rng)
     return ScoreSnapshot(epoch=epoch, tn_scores=tn_scores, fn_scores=fn_scores)
+
+
+def _check_caps(max_users: Optional[int], max_scores_per_class: int) -> None:
+    if max_users is not None:
+        check_positive(max_users, "max_users")
+    check_positive(max_scores_per_class, "max_scores_per_class")
 
 
 def _subsample(
@@ -94,6 +106,7 @@ class ScoreDistributionRecorder(Callback):
         max_scores_per_class: int = 100_000,
         seed: SeedLike = 0,
     ) -> None:
+        _check_caps(max_users, max_scores_per_class)
         self.dataset = dataset
         self.epochs = frozenset(int(e) for e in epochs)
         self.max_users = max_users

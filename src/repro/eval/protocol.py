@@ -34,9 +34,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.backend import KERNELS
 from repro.data.dataset import ImplicitDataset
 from repro.eval.ranking import auc_block, ranking_metrics_block
-from repro.eval.topk import top_k_items_batch
 from repro.utils.validation import check_positive
 
 __all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "score_block"]
@@ -99,17 +99,12 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     masking and tie semantics live in exactly one place.
     """
     train, test = dataset.train, dataset.test
-    # Ranking goes through the model's backend seam when it has one;
-    # every backend delegates to the same canonical host kernel, so this
-    # changes *where* the top-K runs, never which lists come back.
-    backend = getattr(model, "backend", None)
-    rank = backend.topk if backend is not None else top_k_items_batch
     for start in range(0, users.size, chunk_users):
         chunk = users[start : start + chunk_users]
         block = score_block(model, chunk)
         rows, cols = train.positives_in_rows(chunk)
         block[rows, cols] = -np.inf
-        ranked, _ = rank(block, k)
+        ranked, _ = KERNELS.topk(block, k)
         hits = test.hits_in_rows(chunk, ranked)
         yield chunk, block, rows, cols, ranked, hits
 

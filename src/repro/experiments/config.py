@@ -8,9 +8,10 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from repro.backend import DTYPE_NAMES
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["RunSpec", "Scale", "scale_preset"]
@@ -85,11 +86,6 @@ class RunSpec:
     #: ``"cached[:T]"`` select an estimator (see ``repro.samplers.cdf``).
     #: Only meaningful for samplers that accept a ``cdf`` parameter.
     cdf: Optional[str] = None
-    #: Compute backend for the run's dense kernels (``"numpy"``,
-    #: ``"torch"``, ``"torch-cuda"`` — see :mod:`repro.backend`).  Part of
-    #: the run key: backends other than numpy are statistically, not
-    #: bitwise, equivalent.
-    backend: str = "numpy"
     #: Parameter/score dtype policy: ``"float64"`` (exact, the default)
     #: or ``"float32"`` (fast — statistically equivalent numerics).
     dtype: str = "float64"
@@ -102,15 +98,6 @@ class RunSpec:
         check_positive(self.n_factors, "n_factors")
         if self.model not in ("mf", "lightgcn"):
             raise ValueError(f"model must be 'mf' or 'lightgcn', got {self.model!r}")
-        # Validate names only — availability (torch installed, CUDA
-        # usable) is checked at model construction, so specs for other
-        # machines' backends remain constructible and addressable here.
-        from repro.backend import BACKEND_NAMES, DTYPE_NAMES
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
         if self.dtype not in DTYPE_NAMES:
             raise ValueError(
                 f"dtype must be one of {DTYPE_NAMES}, got {self.dtype!r}"

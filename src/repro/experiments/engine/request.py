@@ -31,7 +31,7 @@ __all__ = [
 #: Bump whenever the request canonicalization or the payload schema
 #: changes; old cache entries become unreachable (new keys + new store
 #: subdirectory) rather than silently mis-read.  v2: ``RunSpec`` grew
-#: ``backend``/``dtype`` (the compute-backend seam).
+#: ``dtype`` (the precision policy).
 CACHE_FORMAT_VERSION = 2
 
 #: Run-key coverage manifests — the introspection hook for ``repro lint``
@@ -54,7 +54,6 @@ KEYED_SPEC_FIELDS: Tuple[str, ...] = (
     "seed",
     "ks",
     "cdf",
-    "backend",
     "dtype",
 )
 KEYED_REQUEST_FIELDS: Tuple[str, ...] = (

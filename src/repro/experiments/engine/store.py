@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.experiments.engine.request import CACHE_FORMAT_VERSION
 from repro.reliability.faults import FaultInjector

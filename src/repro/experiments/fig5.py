@@ -12,7 +12,7 @@ Two sweeps on MF, NDCG@20 as the target (the paper's Fig. 5):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.config import RunSpec, Scale, scale_preset
 from repro.experiments.engine import (

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "format_table",
     "format_series",

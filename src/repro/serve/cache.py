@@ -27,7 +27,7 @@ cache access in its service lock.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ consume.  Callbacks receive it via :meth:`Callback.on_epoch_end`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 

@@ -4,7 +4,8 @@ Both optimizers support *sparse row updates*: a BPR step on a batch of
 triples only touches the embedding rows of the users and items in the
 batch, so updating the full table would waste ``O(n_users + n_items)`` work
 per step.  Adam keeps full-size first/second moment arrays but, like
-PyTorch's sparse Adam, only advances the state of the touched rows.
+the usual sparse (lazy) Adam for embeddings, only advances the state of
+the touched rows.
 
 Convention: gradients passed in are *descent* gradients — the optimizer
 always applies ``param -= lr * <step>``.
@@ -17,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_in_range, check_non_negative, check_positive
+from repro.utils.validation import check_in_range, check_positive
 
 __all__ = ["Optimizer", "SGD", "Adam", "aggregate_rows"]
 
@@ -87,8 +88,8 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam with lazily-allocated per-parameter state and sparse row steps.
 
-    Sparse semantics follow PyTorch's ``SparseAdam``: moments and the step
-    counter advance only for rows that receive gradient, which is the
+    Sparse (lazy) Adam semantics: moments and the step counter advance
+    only for rows that receive gradient, which is the
     standard choice for embedding tables where most rows are untouched in
     any given step.
     """

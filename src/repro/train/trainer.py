@@ -16,7 +16,7 @@ over the rows as Python ints that calls the user's ``scores`` (for
 ``FULL_BLOCK`` samplers),
 :meth:`~repro.samplers.base.NegativeSampler.sample_one` and
 :meth:`~repro.models.base.ScoreModel.train_triple` per triple, with ids
-and the backend checked once per fit instead of per step.  Both entry
+checked once per fit instead of per step.  Both entry
 points are bitwise equal to ``sample_for_user``/``train_step`` on one row,
 so the kernel changes speed, not results.  BNS and MF override them: the
 gemv, sort, dots and ``exp`` stay numpy calls, and the IEEE-exact
@@ -32,8 +32,8 @@ equal; the samplers' RNG-parity contract keeps the randomness identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.train.early_stopping import StopTraining
 from repro.train.optimizer import SGD, Optimizer
 from repro.train.schedule import ConstantSchedule, Schedule
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import as_rng
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["TrainingConfig", "Trainer"]
@@ -130,10 +130,8 @@ class Trainer:
             raise ValueError("cannot train on an empty training set")
         if self._n_single_rows(users_all.size):
             # The per-triple kernel skips train_step's per-call checks: the
-            # ids and the backend are checked here, once (reg is checked by
-            # TrainingConfig).
+            # ids are checked here, once (reg is checked by TrainingConfig).
             self.model._check_triple_arrays(users_all, pos_all, pos_all)
-            self.model._check_trainable_backend()
         lr_schedule = self.config.resolve_lr_schedule()
 
         for callback in self.callbacks:

@@ -9,7 +9,7 @@ their lifetime mix in :class:`RngMixin`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Checkpoint dtype/backend metadata (format v2) and its load guards."""
+"""Checkpoint dtype metadata (format v2) and its load guards."""
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ class TestMetadataRoundTrip:
             save_model(model, path)
             with np.load(path, allow_pickle=False) as archive:
                 assert str(archive["dtype"]) == dtype
-                assert str(archive["backend"]) == "numpy"
+                assert "backend" not in archive
                 assert int(archive["version"]) == 2
             loaded = load_model(path)
             assert loaded.dtype == np.dtype(dtype)
@@ -98,7 +98,7 @@ class TestLegacyArchives:
     def test_v1_archive_loads_as_float64_numpy(self, tmp_path):
         model = MatrixFactorization(12, 30, 4, seed=3)
         path = tmp_path / "m.npz"
-        # A v1 archive: no dtype/backend keys at all.
+        # A v1 archive: no dtype key at all.
         np.savez(
             path,
             kind="mf",
@@ -108,8 +108,35 @@ class TestLegacyArchives:
         )
         loaded = load_model(path)
         assert loaded.dtype == np.dtype(np.float64)
-        assert loaded.backend.name == "numpy"
         np.testing.assert_array_equal(loaded.user_factors, model.user_factors)
+
+    @pytest.mark.parametrize("recorded", ["numpy", "torch"])
+    def test_v2_archive_with_backend_key_loads(
+        self, tmp_path, interactions, recorded
+    ):
+        # Earlier v2 writers recorded the compute backend's name; the
+        # parameters were host arrays either way, so the key is ignored.
+        for model in _models(interactions, dtype="float32"):
+            path = tmp_path / f"{type(model).__name__}.npz"
+            save_model(model, path)
+            with np.load(path, allow_pickle=False) as archive:
+                payload = dict(archive)
+            payload["backend"] = recorded
+            np.savez(path, **payload)
+            loaded = load_model(path, dtype="float32")
+            assert type(loaded) is type(model)
+            np.testing.assert_array_equal(
+                loaded.scores_batch(np.arange(12)), model.scores_batch(np.arange(12))
+            )
+
+    def test_backend_argument_rejected(self, tmp_path, interactions):
+        model = LightGCN(interactions, n_factors=4, n_layers=1, seed=3)
+        path = tmp_path / "m.npz"
+        save_model(model, path)
+        with pytest.raises(TypeError, match="backend"):
+            load_model(path, backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            RankingService.from_checkpoint(path, backend="numpy")
 
     def test_v1_archive_rejects_float32_expectation(self, tmp_path):
         model = MatrixFactorization(12, 30, 4, seed=3)

@@ -59,6 +59,22 @@ class TestScoreSnapshot:
         )
         assert snapshot.tn_scores.size == 3
 
+    @pytest.mark.parametrize("max_users", [0, -1])
+    def test_non_positive_max_users_rejected(self, micro_dataset, max_users):
+        with pytest.raises(ValueError, match=f"max_users must be > 0, got {max_users}"):
+            score_snapshot(
+                PlantedModel(micro_dataset), micro_dataset, max_users=max_users
+            )
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_score_cap_rejected(self, micro_dataset, cap):
+        with pytest.raises(
+            ValueError, match=f"max_scores_per_class must be > 0, got {cap}"
+        ):
+            score_snapshot(
+                PlantedModel(micro_dataset), micro_dataset, max_scores_per_class=cap
+            )
+
     def test_histograms_shared_edges(self, micro_dataset):
         snapshot = score_snapshot(PlantedModel(micro_dataset), micro_dataset)
         edges, tn_density, fn_density = snapshot.histograms(bins=10)
@@ -88,6 +104,14 @@ class TestRecorder:
         for epoch in range(5):
             recorder.on_epoch_end(self.make_stats(epoch), model)
         assert sorted(recorder.snapshots) == [1, 3]
+
+    @pytest.mark.parametrize(
+        "caps", [{"max_users": 0}, {"max_users": -1}, {"max_scores_per_class": 0}]
+    )
+    def test_non_positive_caps_rejected_at_construction(self, micro_dataset, caps):
+        (name,) = caps
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            ScoreDistributionRecorder(micro_dataset, epochs=[0], **caps)
 
     def test_separation_series_sorted(self, micro_dataset):
         recorder = ScoreDistributionRecorder(micro_dataset, epochs=[2, 0])
